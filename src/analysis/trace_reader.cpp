@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "support/parse.h"
 #include "telemetry/jsonl_sink.h"
 
 namespace radiomc::analysis {
@@ -66,15 +68,17 @@ bool scan_string(std::string_view s, std::size_t& i, std::string* out) {
   return true;
 }
 
-bool scan_uint(std::string_view s, std::size_t& i, std::uint64_t* out) {
-  if (i >= s.size() || s[i] < '0' || s[i] > '9') return false;
-  std::uint64_t v = 0;
-  while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(s[i] - '0');
-    ++i;
-  }
-  *out = v;
-  return true;
+/// Scans a run of decimal digits into `out`. Returns nullptr on success,
+/// else what is wrong with the value ("bad", or "out of range" past
+/// 2^64-1).
+const char* scan_uint(std::string_view s, std::size_t& i, std::uint64_t* out) {
+  const std::size_t start = i;
+  while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+  if (i == start) return "bad";
+  const std::optional<std::uint64_t> v = parse_u64(s.substr(start, i - start));
+  if (!v) return "out of range";
+  *out = *v;
+  return nullptr;
 }
 
 LineScan scan_line(std::string_view s) {
@@ -138,8 +142,9 @@ LineScan scan_line(std::string_view s) {
         for (;;) {
           skip_ws(s, i);
           std::uint64_t v = 0;
-          if (!scan_uint(s, i, &v)) {
-            r.error = "bad array element for key \"" + f.key + "\"";
+          if (const char* why = scan_uint(s, i, &v)) {
+            r.error =
+                std::string(why) + " array element for key \"" + f.key + "\"";
             return r;
           }
           f.arr.push_back(v);
@@ -158,8 +163,8 @@ LineScan scan_line(std::string_view s) {
       }
     } else {
       f.type = ValType::kUInt;
-      if (!scan_uint(s, i, &f.num)) {
-        r.error = "bad value for key \"" + f.key + "\"";
+      if (const char* why = scan_uint(s, i, &f.num)) {
+        r.error = std::string(why) + " value for key \"" + f.key + "\"";
         return r;
       }
     }

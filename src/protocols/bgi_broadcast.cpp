@@ -3,8 +3,8 @@
 #include <deque>
 #include <memory>
 
+#include "protocols/instruments.h"
 #include "radio/network.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -97,12 +97,9 @@ BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
   for (auto& a : adapters) ptrs.push_back(&a);
 
   RadioNetwork net(g);
-  FaultSchedule fsch;
-  if (faults.any()) {
-    fsch = FaultSchedule(g, faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&fsch);
-  }
-  net.attach(std::move(ptrs));
+  Instruments in;
+  in.faults = faults;
+  const NetworkWiring wiring(net, g, std::move(ptrs), in, master);
   net.run(phases * dl);
 
   BgiOutcome out;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "perf/profiler.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -97,14 +96,8 @@ BroadcastService::BroadcastService(const Graph& g, const BfsTree& tree,
   }
   for (auto& m : muxes_) ptrs.push_back(m.get());
   net_ = std::make_unique<RadioNetwork>(g, ncfg);
-  if (cfg.trace != nullptr) net_->set_trace(cfg.trace);
-  if (cfg.slot_hook != nullptr) net_->set_slot_hook(cfg.slot_hook);
-  if (cfg.faults.any()) {
-    faults_ = std::make_unique<FaultSchedule>(
-        g, cfg.faults, master.split(rng_tags::kFaultStream).next());
-    net_->set_faults(faults_.get());
-  }
-  net_->attach(std::move(ptrs));
+  wiring_ =
+      std::make_unique<NetworkWiring>(*net_, g, std::move(ptrs), cfg, master);
 }
 
 void BroadcastService::broadcast(NodeId src, std::uint64_t payload) {
@@ -197,23 +190,8 @@ KBroadcastOutcome run_k_broadcast(const Graph& g, const BfsTree& tree,
     tel.metrics.counter("distribution.root_resends").inc(out.root_resends);
     tel.metrics.counter("distribution.root_idle_rebroadcasts")
         .inc(root.root_idle_rebroadcasts());
-    telemetry::publish_net_metrics(svc.metrics(), tel.metrics,
-                                   "distribution");
-    if (svc.faults() != nullptr && svc.faults()->enabled()) {
-      const FaultSchedule& fsch = *svc.faults();
-      telemetry::publish_fault_metrics(fsch, svc.metrics(), tel.metrics,
-                                       "distribution");
-      tel.timeline.record(
-          "faults", "distribution", 0, out.slots,
-          {{"crashes", static_cast<std::int64_t>(fsch.stats().crashes)},
-           {"recoveries",
-            static_cast<std::int64_t>(fsch.stats().recoveries)},
-           {"link_downs",
-            static_cast<std::int64_t>(fsch.stats().link_downs)},
-           {"jams", static_cast<std::int64_t>(svc.metrics().fault_jams)},
-           {"drops", static_cast<std::int64_t>(svc.metrics().fault_drops)},
-           {"degraded", out.status == RunStatus::kDegraded ? 1 : 0}});
-    }
+    svc.wiring().publish("distribution");
+    svc.wiring().record_fault_span("distribution", out.slots, out.status);
   }
   return out;
 }

@@ -17,6 +17,7 @@
 
 #include "protocols/collection.h"
 #include "protocols/distribution.h"
+#include "protocols/instruments.h"
 #include "protocols/tree.h"
 // BroadcastService is a driver-in-a-header: it owns the RadioNetwork the
 // collection + distribution stacks run on (its stations stay model-pure).
@@ -27,7 +28,11 @@
 
 namespace radiomc {
 
-struct BroadcastServiceConfig {
+/// Instruments: run_k_broadcast records a distribution span with
+/// resend/idle-rebroadcast counters and opens a "broadcast.run" perf span;
+/// the service wires them onto the one network it runs. The instruments
+/// nested in `collection` are unused — one network carries one set.
+struct BroadcastServiceConfig : Instruments {
   CollectionConfig collection;
   DistributionConfig distribution;
   /// Separate channels (paper's default) or odd/even time multiplexing.
@@ -37,24 +42,6 @@ struct BroadcastServiceConfig {
   /// count is set by `mode` and any value here is overwritten.
   RadioNetwork::Config engine;
 
-  /// Optional observability, used by run_k_broadcast: a distribution span
-  /// with resend/idle-rebroadcast counters plus the engine totals.
-  TelemetryHub* telemetry = nullptr;
-  /// Optional physical-event sink installed on the service's network.
-  TraceSink* trace = nullptr;
-
-  /// Optional perf instrumentation: run_k_broadcast opens a
-  /// "broadcast.run" span and bumps slot/resend counters (perf-purity:
-  /// write-only, never read back).
-  perf::Profiler* profiler = nullptr;
-  /// Optional per-slot observer installed on the service's network.
-  SlotHook* slot_hook = nullptr;
-
-  /// Fault injection (src/faults/), compiled by the service against the
-  /// graph and a stream split off the seed. The per-protocol plans inside
-  /// `collection` / `distribution` are ignored here — the service runs one
-  /// network, so it carries one schedule.
-  FaultPlan faults;
   /// Progress watchdog for run_until_delivered: when > 0 and the minimum
   /// delivered prefix has not advanced for this many slots, stop with
   /// RunStatus::kDegraded. 0 = off.
@@ -88,8 +75,8 @@ class BroadcastService {
   /// outcome afterwards.
   bool run_until_delivered(SlotTime max_slots);
   RunStatus status() const noexcept { return status_; }
-  /// The service's fault schedule, or nullptr when faults are off.
-  const FaultSchedule* faults() const noexcept { return faults_.get(); }
+  /// The network's wiring, for end-of-run publishing.
+  const NetworkWiring& wiring() const noexcept { return *wiring_; }
 
   SlotTime now() const;
   std::uint64_t originated() const noexcept { return originated_; }
@@ -114,7 +101,7 @@ class BroadcastService {
   std::vector<std::unique_ptr<DistributionStation>> dist_;
   std::vector<std::unique_ptr<Station>> muxes_;
   std::unique_ptr<RadioNetwork> net_;
-  std::unique_ptr<FaultSchedule> faults_;
+  std::unique_ptr<NetworkWiring> wiring_;
   std::vector<std::uint32_t> next_up_seq_;
   std::uint64_t originated_ = 0;
   RunStatus status_ = RunStatus::kOk;

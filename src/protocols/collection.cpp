@@ -4,7 +4,6 @@
 
 #include "perf/profiler.h"
 #include "radio/network.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -211,16 +210,7 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
   for (auto& a : adapters) ptrs.push_back(&a);
 
   RadioNetwork net(g);
-  if (cfg.trace != nullptr) net.set_trace(cfg.trace);
-  if (cfg.slot_hook != nullptr) net.set_slot_hook(cfg.slot_hook);
-  FaultSchedule faults;
-  if (cfg.faults.any()) {
-    // Derived after the station splits, and only when a plan is active, so
-    // fault-free runs consume exactly the historical stream.
-    faults = FaultSchedule(g, cfg.faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&faults);
-  }
-  net.attach(std::move(ptrs));
+  const NetworkWiring wiring(net, g, std::move(ptrs), cfg, master);
 
   CollectionOutcome out;
   const std::uint64_t slots_per_phase = stations[0]->clock().slots_per_phase();
@@ -330,21 +320,8 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
       tel.metrics.counter("collection.advance_phases", lv)
           .inc(out.advance_phases[l]);
     }
-    telemetry::publish_net_metrics(net.metrics(), tel.metrics, "collection");
-    if (faults.enabled()) {
-      telemetry::publish_fault_metrics(faults, net.metrics(), tel.metrics,
-                                       "collection");
-      tel.timeline.record(
-          "faults", "collection", 0, out.slots,
-          {{"crashes", static_cast<std::int64_t>(faults.stats().crashes)},
-           {"recoveries",
-            static_cast<std::int64_t>(faults.stats().recoveries)},
-           {"link_downs",
-            static_cast<std::int64_t>(faults.stats().link_downs)},
-           {"jams", static_cast<std::int64_t>(net.metrics().fault_jams)},
-           {"drops", static_cast<std::int64_t>(net.metrics().fault_drops)},
-           {"degraded", out.status == RunStatus::kDegraded ? 1 : 0}});
-    }
+    wiring.publish("collection");
+    wiring.record_fault_span("collection", out.slots, out.status);
   }
   return out;
 }

@@ -25,23 +25,21 @@
 #include <set>
 #include <vector>
 
-#include "faults/fault_plan.h"
 #include "protocols/decay.h"
+#include "protocols/instruments.h"
 #include "protocols/tree.h"
 #include "radio/schedule.h"
 #include "radio/station.h"
-#include "radio/trace.h"
 #include "support/rng.h"
-#include "telemetry/telemetry.h"
 
 namespace radiomc {
 
-namespace perf {
-class Profiler;  // src/perf/profiler.h; forward-declared so no protocol
-                 // header includes the measurement layer (perf-purity)
-}  // namespace perf
-
-struct CollectionConfig {
+/// Instruments: run_collection records a run span with per-level advance
+/// counters and queue-depth histograms, opens a "collection.drain" perf
+/// span, and compiles the fault plan against its network. Embedded uses
+/// (setup, the broadcast service, the virtual bus) ignore the nested
+/// instruments — the host driver wires its own network.
+struct CollectionConfig : Instruments {
   SlotStructure slots;  ///< decay_len from Delta; ack + mod-3 on by default
 
   /// §8 Remark 3: under the capture conflict model an acknowledgement can
@@ -64,25 +62,6 @@ struct CollectionConfig {
   /// SingleStation); embedded uses (setup, channel mux) stay always-active.
   bool autosleep = true;
 
-  /// Optional observability, used by run_collection: phase spans, per-level
-  /// advance counters and queue-depth histograms, engine counters. Not part
-  /// of the radio model — the protocol never reads it.
-  TelemetryHub* telemetry = nullptr;
-  /// Optional physical-event sink installed on the driver's network.
-  TraceSink* trace = nullptr;
-
-  /// Optional perf instrumentation: run_collection opens a "collection.
-  /// drain" span and bumps slot/phase/delivery counters. Write-only from
-  /// here — timing never flows back into the protocol (perf-purity).
-  perf::Profiler* profiler = nullptr;
-  /// Optional per-slot observer installed on the driver's network (e.g. a
-  /// perf::SnapshotStreamer). Sees only the slot counter.
-  SlotHook* slot_hook = nullptr;
-
-  /// Fault injection (src/faults/): run_collection compiles this against
-  /// the graph and a stream split off the run seed. All-zero (the default)
-  /// means no faults and the engine's exact legacy behavior.
-  FaultPlan faults;
   /// Progress watchdog: when > 0 and the root has received nothing for
   /// this many slots, the driver stops with RunStatus::kDegraded instead
   /// of burning the rest of max_slots. 0 = off.

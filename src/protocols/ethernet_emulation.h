@@ -33,10 +33,9 @@
 #include <optional>
 #include <vector>
 
-#include "faults/fault_plan.h"
-#include "faults/fault_schedule.h"
 #include "protocols/collection.h"
 #include "protocols/distribution.h"
+#include "protocols/instruments.h"
 #include "protocols/tree.h"
 // The emulation layer (§1.3) is itself the "wire": it owns the
 // RadioNetwork that plays the single-hop ethernet segment.
@@ -48,17 +47,18 @@ namespace radiomc {
 
 class VirtualEthernet {
  public:
-  struct Config {
+  /// Of the Instruments, the bus takes only `faults`, injected into its
+  /// own radio layer. The §3/§6 reliability of the underlying channels
+  /// absorbs jam/drop noise (the bus stays exact, just slower). Crash plans
+  /// without a recover_rate can stall a round forever — the root waits for
+  /// all n reports — so pair crash_rate with recovery, or bound the run
+  /// with max_slots.
+  struct Config : private Instruments {
+    using Instruments::faults;
     CollectionConfig collection;
     DistributionConfig distribution;
-    /// Faults injected into the virtual bus's own radio layer. The §3/§6
-    /// reliability of the underlying channels absorbs jam/drop noise (the
-    /// bus stays exact, just slower). Crash plans without a recover_rate
-    /// can stall a round forever — the root waits for all n reports — so
-    /// pair crash_rate with recovery, or bound the run with max_slots.
-    /// All-zero (the default) is byte-identical to the pre-fault-aware
-    /// bus: the fault seed is only drawn when the plan is enabled.
-    FaultPlan faults;
+
+    const Instruments& instruments() const noexcept { return *this; }
 
     static Config for_graph(const Graph& g) {
       Config c;
@@ -118,8 +118,8 @@ class VirtualEthernet {
   std::vector<std::unique_ptr<CollectionStation>> coll_;
   std::vector<std::unique_ptr<DistributionStation>> dist_;
   std::vector<std::unique_ptr<Station>> muxes_;
-  std::unique_ptr<FaultSchedule> faults_;  ///< null when the plan is off
   std::unique_ptr<RadioNetwork> net_;
+  std::unique_ptr<NetworkWiring> wiring_;
 
   std::vector<std::uint32_t> node_round_;       ///< rounds observed so far
   std::vector<std::uint32_t> next_up_seq_;

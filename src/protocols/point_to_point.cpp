@@ -7,7 +7,6 @@
 
 #include "perf/profiler.h"
 #include "radio/network.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -280,14 +279,7 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
   RadioNetwork::Config ncfg;
   ncfg.num_channels = 2;
   RadioNetwork net(g, ncfg);
-  if (cfg.trace != nullptr) net.set_trace(cfg.trace);
-  if (cfg.slot_hook != nullptr) net.set_slot_hook(cfg.slot_hook);
-  FaultSchedule faults;
-  if (cfg.faults.any()) {
-    faults = FaultSchedule(g, cfg.faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&faults);
-  }
-  net.attach(std::move(ptrs));
+  const NetworkWiring wiring(net, g, std::move(ptrs), cfg, master);
 
   P2pOutcome out;
   out.delivery_slot.assign(requests.size(), static_cast<SlotTime>(-1));
@@ -371,22 +363,8 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
     for (SlotTime s : out.delivery_slot)
       if (s != static_cast<SlotTime>(-1))
         lat.add(static_cast<std::int64_t>(s));
-    telemetry::publish_net_metrics(net.metrics(), tel.metrics,
-                                   "point_to_point");
-    if (faults.enabled()) {
-      telemetry::publish_fault_metrics(faults, net.metrics(), tel.metrics,
-                                       "point_to_point");
-      tel.timeline.record(
-          "faults", "point_to_point", 0, out.slots,
-          {{"crashes", static_cast<std::int64_t>(faults.stats().crashes)},
-           {"recoveries",
-            static_cast<std::int64_t>(faults.stats().recoveries)},
-           {"link_downs",
-            static_cast<std::int64_t>(faults.stats().link_downs)},
-           {"jams", static_cast<std::int64_t>(net.metrics().fault_jams)},
-           {"drops", static_cast<std::int64_t>(net.metrics().fault_drops)},
-           {"degraded", out.status == RunStatus::kDegraded ? 1 : 0}});
-    }
+    wiring.publish("point_to_point");
+    wiring.record_fault_span("point_to_point", out.slots, out.status);
   }
   return out;
 }

@@ -23,34 +23,20 @@
 #include <optional>
 #include <vector>
 
-#include "faults/fault_plan.h"
 #include "protocols/decay.h"
 #include "protocols/dfs_numbering.h"
+#include "protocols/instruments.h"
 #include "radio/schedule.h"
 #include "radio/station.h"
-#include "radio/trace.h"
 #include "support/rng.h"
-#include "telemetry/telemetry.h"
 
 namespace radiomc {
 
-struct P2pConfig {
+/// Instruments: run_point_to_point records a run span with request counts
+/// and a delivery-latency histogram, and opens a "p2p.run" perf span.
+struct P2pConfig : Instruments {
   SlotStructure slots;  ///< ack + mod-3 on by default
 
-  /// Optional observability, used by run_point_to_point: a run span with
-  /// request counts, delivery-latency histogram, engine counters.
-  TelemetryHub* telemetry = nullptr;
-  /// Optional physical-event sink installed on the driver's network.
-  TraceSink* trace = nullptr;
-
-  /// Optional perf instrumentation: a "p2p.run" span plus request/slot
-  /// counters. Write-only here (perf-purity).
-  perf::Profiler* profiler = nullptr;
-  /// Optional per-slot observer installed on the driver's network.
-  SlotHook* slot_hook = nullptr;
-
-  /// Fault injection (src/faults/); all-zero = no faults, legacy path.
-  FaultPlan faults;
   /// Progress watchdog: when > 0 and no request completes for this many
   /// slots, the driver stops with RunStatus::kDegraded. 0 = off.
   SlotTime stall_slots = 0;

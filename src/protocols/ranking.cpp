@@ -7,7 +7,6 @@
 
 #include "protocols/tree.h"
 #include "radio/network.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -113,12 +112,8 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
   RadioNetwork::Config ncfg;
   ncfg.num_channels = 2;
   RadioNetwork net(g, ncfg);
-  FaultSchedule fsch;
-  if (faults.any()) {
-    fsch = FaultSchedule(g, faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&fsch);
-  }
-  net.attach(std::move(ptrs));
+  // Same instruments as the collect phase: the hub and the fault plan.
+  const NetworkWiring wiring(net, g, std::move(ptrs), ccfg, master);
 
   auto delivered = [&] {
     // Each node awaits exactly one rank message; count nodes served, not
@@ -151,11 +146,7 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
         out.collect_slots + out.deliver_slots,
         {{"ranks", static_cast<std::int64_t>(expected_downs)},
          {"completed", delivered() >= expected_downs ? 1 : 0}});
-    telemetry::publish_net_metrics(net.metrics(), telemetry->metrics,
-                                   "ranking_deliver");
-    if (fsch.enabled())
-      telemetry::publish_fault_metrics(fsch, net.metrics(),
-                                       telemetry->metrics, "ranking_deliver");
+    wiring.publish("ranking_deliver");
   }
   if (delivered() < expected_downs) {
     out.status = stalled ? RunStatus::kDegraded : RunStatus::kFailed;

@@ -306,15 +306,7 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
   RadioNetwork::Config ncfg;
   ncfg.num_channels = 2;
   RadioNetwork net(g, ncfg);
-  if (tuning.trace != nullptr) net.set_trace(tuning.trace);
-  if (tuning.slot_hook != nullptr) net.set_slot_hook(tuning.slot_hook);
-  FaultSchedule faults;
-  if (tuning.faults.any()) {
-    faults =
-        FaultSchedule(g, tuning.faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&faults);
-  }
-  net.attach(std::move(ptrs));
+  const NetworkWiring wiring(net, g, std::move(ptrs), tuning, master);
 
   // Epoch boundaries are globally known (a pure function of n, Delta and
   // the attempt), so both the telemetry timeline and the perf span tree
@@ -348,9 +340,7 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
     reg.counter("setup.verification_restarts")
         .inc(o.attempts > 0 ? o.attempts - 1 : 0);
     reg.counter(o.ok ? "setup.completed" : "setup.failed").inc();
-    telemetry::publish_net_metrics(net.metrics(), reg, "setup");
-    if (faults.enabled())
-      telemetry::publish_fault_metrics(faults, net.metrics(), reg, "setup");
+    wiring.publish("setup");
   };
 
   SetupOutcome out;

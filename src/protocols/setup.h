@@ -49,6 +49,7 @@
 #include "protocols/bgi_broadcast.h"
 #include "protocols/collection.h"
 #include "protocols/dfs_numbering.h"
+#include "protocols/instruments.h"
 #include "protocols/leader_election.h"
 #include "protocols/tree.h"
 #include "radio/station.h"
@@ -57,7 +58,13 @@
 
 namespace radiomc {
 
-struct SetupTuning {
+/// Instruments: run_setup records one telemetry span and one perf span
+/// per epoch per attempt (A..G, on the globally known schedule
+/// boundaries) plus attempt/restart counters, and applies the fault plan
+/// to the setup network itself — the verify/restart machinery is what
+/// tolerates it: a mid-epoch crash surfaces as a failed verification and
+/// the schedule rolls into the next attempt.
+struct SetupTuning : Instruments {
   /// Multiplier on the B and F collection budgets (in units of n*decay_len).
   std::uint32_t verify_mult = 96;
   /// Multiplier on the completion-flood budget (units of n*decay_len).
@@ -70,28 +77,6 @@ struct SetupTuning {
   /// the next attempt, so the setup stays always-correct even with tiny
   /// id spaces.
   std::uint32_t random_id_bits = 0;
-
-  /// Optional observability: run_setup records one span per epoch per
-  /// attempt (A..G, on the globally known schedule boundaries) plus
-  /// attempt/restart counters and the engine totals. Null = off.
-  TelemetryHub* telemetry = nullptr;
-  /// Optional physical-event sink installed on the setup network.
-  TraceSink* trace = nullptr;
-
-  /// Optional perf instrumentation: run_setup opens one "setup.attempt"
-  /// span per attempt with one child span per epoch (A..G boundaries are
-  /// globally known, so the spans need no station cooperation). Write-only
-  /// — timing never reaches the schedule or an Rng (perf-purity).
-  perf::Profiler* profiler = nullptr;
-  /// Optional per-slot observer installed on the setup network.
-  SlotHook* slot_hook = nullptr;
-
-  /// Fault injection (src/faults/) applied to the setup network itself.
-  /// The verify/restart machinery is what tolerates it: a mid-epoch crash
-  /// surfaces as a failed verification and the schedule rolls into the
-  /// next attempt; crashed stations resynchronize to the globally known
-  /// schedule on recovery. All-zero = no faults.
-  FaultPlan faults;
 };
 
 /// The globally known epoch schedule of one setup attempt.

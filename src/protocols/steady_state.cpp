@@ -43,19 +43,16 @@ SteadyStateOutcome run_collection_steady_state(
   std::vector<Station*> ptrs;
   for (auto& s : st) adapters.emplace_back(*s);
   for (auto& a : adapters) ptrs.push_back(&a);
+  Rng arrivals_rng = master.split(rng_tags::kSteadyArrival);
+  // Wired after the arrival split, so a faulted run faces the identical
+  // arrival sequence as a fault-free run with the same seed.
   RadioNetwork net(g);
-  if (slot_hook != nullptr) net.set_slot_hook(slot_hook);
-  net.attach(std::move(ptrs));
+  Instruments in;
+  in.slot_hook = slot_hook;
+  in.faults = faults;
+  const NetworkWiring wiring(net, g, std::move(ptrs), in, master);
 
   const std::uint64_t slots_per_phase = st[0]->clock().slots_per_phase();
-  Rng arrivals_rng = master.split(rng_tags::kSteadyArrival);
-  // Derived after the arrival stream so a faulted run faces the identical
-  // arrival sequence as a fault-free run with the same seed.
-  FaultSchedule fsch;
-  if (faults.any()) {
-    fsch = FaultSchedule(g, faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&fsch);
-  }
 
   SteadyStateOutcome out;
   // Ordered so that no future drain/merge over in-flight tags can pick up

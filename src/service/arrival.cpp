@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/parse.h"
+
 namespace radiomc::service {
 
 namespace {
@@ -89,19 +91,19 @@ ArrivalSpec ArrivalSpec::parse(const std::string& text) {
                "arrival spec: empty — expected KIND:RATE[:...], e.g. "
                "bernoulli:0.5");
   const auto num = [&](std::size_t i, const char* what) {
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(parts.at(i), &used);
-    } catch (const std::invalid_argument&) {
-      fail(std::string("arrival spec: ") + what + " '" +
-           (i < parts.size() ? parts[i] : "") + "' is not a number");
-    }
-    // Outside the try: this throw must not be mistaken for stod's.
-    require_spec(used == parts[i].size(),
-                 std::string("arrival spec: trailing junk in ") + what +
-                     " '" + parts[i] + "'");
-    return v;
+    const std::string& field = parts.at(i);
+    const std::optional<double> v = parse_f64(field);
+    if (v) return *v;
+    // A number was started (a digit after any sign or point) and something
+    // after it broke it: junk, or an exponent past the double range.
+    const bool started =
+        !field.empty() && field.find_first_of("0123456789") ==
+                              field.find_first_not_of("-.");
+    if (!started)
+      fail(std::string("arrival spec: ") + what + " '" + field +
+           "' is not a number");
+    fail(std::string("arrival spec: trailing junk or out-of-range value in ") +
+         what + " '" + field + "'");
   };
   ArrivalSpec s;
   if (parts[0] == "bernoulli" || parts[0] == "poisson") {

@@ -96,24 +96,19 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   std::vector<Station*> ptrs;
   for (auto& s : st) adapters.emplace_back(*s);
   for (auto& a : adapters) ptrs.push_back(&a);
-  RadioNetwork net(g);
-  if (cfg.slot_hook != nullptr) net.set_slot_hook(cfg.slot_hook);
-  // Installed only when a monitor is present: with health off the network
-  // carries no trace sink at all, exactly as before this subsystem
-  // existed, so health-off serve output stays byte-identical.
-  if (cfg.health != nullptr) net.set_trace(cfg.health->sink());
-  net.attach(std::move(ptrs));
-
-  const std::uint64_t slots_per_phase = st[0]->clock().slots_per_phase();
   ArrivalProcess arrivals(cfg.arrival, master.split(rng_tags::kServiceArrival));
   Rng placement_rng = master.split(rng_tags::kServicePlacement);
-  // Derived after the arrival/placement streams so a faulted run faces the
-  // identical offered load as a fault-free run with the same seed.
-  FaultSchedule fsch;
-  if (cfg.faults.any()) {
-    fsch = FaultSchedule(g, cfg.faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&fsch);
-  }
+
+  // Wired after the arrival/placement splits, so a faulted run faces the
+  // identical offered load as a fault-free run with the same seed. The
+  // trace sink is the monitor's: with health off the network carries no
+  // sink at all, so health-off output stays byte-identical.
+  Instruments in = cfg.instruments();
+  if (cfg.health != nullptr) in.trace = cfg.health->sink();
+  RadioNetwork net(g);
+  const NetworkWiring wiring(net, g, std::move(ptrs), in, master);
+
+  const std::uint64_t slots_per_phase = st[0]->clock().slots_per_phase();
 
   const double lambda = cfg.arrival.mean_rate();
   const double mu = queueing::mu_decay();
@@ -294,13 +289,7 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
                    ? RunStatus::kDegraded
                    : RunStatus::kOk;
 
-  if (cfg.telemetry != nullptr) {
-    telemetry::publish_net_metrics(net.metrics(), cfg.telemetry->metrics,
-                                   "serve");
-    if (cfg.faults.any())
-      telemetry::publish_fault_metrics(fsch, net.metrics(),
-                                       cfg.telemetry->metrics, "serve");
-  }
+  wiring.publish("serve");
   if (cfg.profiler != nullptr) {
     cfg.profiler->count("service.slots", out.slots);
     cfg.profiler->count("service.phases", total_phases);

@@ -26,30 +26,37 @@
 #include <cstdint>
 #include <string>
 
-#include "faults/fault_plan.h"
 #include "graph/graph.h"
+#include "protocols/instruments.h"
 #include "protocols/steady_state.h"
 #include "protocols/tree.h"
-#include "radio/trace.h"
 #include "service/admission.h"
 #include "service/arrival.h"
 #include "support/stats.h"
-#include "telemetry/telemetry.h"
 
-namespace radiomc {
-namespace perf {
-class Profiler;  // src/perf/profiler.h; forward-declared so no service
-                 // header includes the measurement layer (perf-purity)
-}  // namespace perf
-namespace health {
-class Monitor;  // src/health/monitor.h; forward-declared for the same
-                // reason — observers are wired, never read back
-}  // namespace health
-}  // namespace radiomc
+namespace radiomc::health {
+class Monitor;  // src/health/monitor.h; forward-declared so no service
+                // header includes an observer — observers are wired, never
+                // read back
+}  // namespace radiomc::health
 
 namespace radiomc::service {
 
-struct ServeConfig {
+/// Of the Instruments, serve exposes all but `trace`: the health monitor's
+/// flight recorder is the only sink it installs. The driver never reads
+/// any of them back.
+struct ServeConfig : private Instruments {
+  using Instruments::faults;
+  using Instruments::profiler;
+  using Instruments::slot_hook;
+  using Instruments::telemetry;
+
+  ServeConfig() = default;
+  /// Adopts every instrument of `in` but its trace sink.
+  explicit ServeConfig(const Instruments& in) : Instruments(in) {
+    trace = nullptr;
+  }
+
   ArrivalSpec arrival;
   AdmissionConfig admission;
 
@@ -71,12 +78,6 @@ struct ServeConfig {
   /// diff harness); off only for A/B measurements.
   bool autosleep = true;
 
-  FaultPlan faults;
-
-  /// Optional observability; the driver never reads any of it.
-  telemetry::Telemetry* telemetry = nullptr;
-  perf::Profiler* profiler = nullptr;
-  SlotHook* slot_hook = nullptr;
   /// Online health monitor (src/health/): when set, the driver installs
   /// its flight recorder as the network's trace sink and feeds it one
   /// PhaseSample per completed phase. When null, no sink is installed and
@@ -86,6 +87,8 @@ struct ServeConfig {
   /// Throws std::invalid_argument on a contradictory config (zero measured
   /// horizon, bad arrival spec or admission config).
   void validate() const;
+
+  const Instruments& instruments() const noexcept { return *this; }
 };
 
 struct ServeOutcome {

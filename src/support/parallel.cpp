@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "support/parse.h"
+
 namespace radiomc {
 
 unsigned hardware_jobs() noexcept {
@@ -13,10 +15,9 @@ unsigned hardware_jobs() noexcept {
 unsigned jobs_from_env(unsigned fallback) noexcept {
   const char* env = std::getenv("RADIOMC_JOBS");
   if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') return fallback;
-  return v == 0 ? hardware_jobs() : static_cast<unsigned>(v);
+  const std::optional<std::uint64_t> v = parse_u64(env);
+  if (!v) return fallback;
+  return *v == 0 ? hardware_jobs() : static_cast<unsigned>(*v);
 }
 
 ThreadPool::ThreadPool(unsigned threads) {

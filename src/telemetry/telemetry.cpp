@@ -50,27 +50,4 @@ void publish_net_metrics(const NetMetrics& m, MetricsRegistry& reg,
   reg.counter("engine.capture_deliveries", labels).inc(m.capture_deliveries);
 }
 
-void publish_fault_metrics(const FaultSchedule& faults, const NetMetrics& m,
-                           MetricsRegistry& reg, const std::string& protocol) {
-  if (!faults.enabled()) return;
-  const auto kind_counter = [&](const char* kind) -> Counter& {
-    return reg.counter("faults.events",
-                       {{"kind", kind}, {"protocol", protocol}});
-  };
-  const FaultSchedule::Stats& s = faults.stats();
-  if (s.crashes > 0) kind_counter("crash").inc(s.crashes);
-  if (s.recoveries > 0) kind_counter("recover").inc(s.recoveries);
-  if (s.link_downs > 0) kind_counter("link_down").inc(s.link_downs);
-  if (s.link_ups > 0) kind_counter("link_up").inc(s.link_ups);
-  const Labels labels = {{"protocol", protocol}};
-  if (m.fault_jams > 0) reg.counter("engine.fault_jams", labels).inc(m.fault_jams);
-  if (m.fault_drops > 0)
-    reg.counter("engine.fault_drops", labels).inc(m.fault_drops);
-  if (m.fault_link_blocked > 0)
-    reg.counter("engine.fault_link_blocked", labels).inc(m.fault_link_blocked);
-  if (m.fault_crashed_slots > 0)
-    reg.counter("engine.fault_crashed_slots", labels)
-        .inc(m.fault_crashed_slots);
-}
-
 }  // namespace radiomc::telemetry

@@ -45,15 +45,6 @@ struct Telemetry {
 void publish_net_metrics(const NetMetrics& m, MetricsRegistry& reg,
                          const std::string& protocol);
 
-/// Publishes a fault schedule's transition totals as "faults.events"
-/// counters labeled {"protocol": protocol, "kind": crash|recover|
-/// link_down|link_up}, plus the engine's fault counters as
-/// "engine.fault_jams" / "engine.fault_drops" / "engine.fault_link_blocked"
-/// / "engine.fault_crashed_slots". Only nonzero values create series, so a
-/// fault-free run's document stays byte-identical to a pre-fault build.
-void publish_fault_metrics(const FaultSchedule& faults, const NetMetrics& m,
-                           MetricsRegistry& reg, const std::string& protocol);
-
 }  // namespace radiomc::telemetry
 
 namespace radiomc {

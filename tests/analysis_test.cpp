@@ -211,6 +211,24 @@ TEST(TraceReader, RejectsUnknownRecordAndMalformedLine) {
   EXPECT_FALSE(empty.ok);
 }
 
+TEST(TraceReader, RejectsOverflowingNumbers) {
+  // 21 digits: past 2^64-1, so the slot used to wrap to a wrong value.
+  const TraceReadResult slot = parse(
+      "{\"ev\":\"schema\",\"v\":\"radiomc.trace/v2\"}\n"
+      "{\"ev\":\"tx\",\"t\":100000000000000000000,\"node\":0,\"ch\":0,"
+      "\"kind\":\"data\",\"origin\":0,\"seq\":0}\n");
+  EXPECT_FALSE(slot.ok);
+  EXPECT_EQ(slot.line_no, 2u);
+  EXPECT_EQ(slot.error, "malformed JSONL: out of range value for key \"t\"");
+
+  const TraceReadResult level = parse(
+      "{\"ev\":\"schema\",\"v\":\"radiomc.trace/v2\","
+      "\"levels\":[0,99999999999999999999]}\n");
+  EXPECT_FALSE(level.ok);
+  EXPECT_EQ(level.error,
+            "malformed JSONL: out of range array element for key \"levels\"");
+}
+
 TEST(TraceReader, IgnoresUnknownKeysAndBlankLines) {
   const TraceReadResult r = parse(
       "{\"ev\":\"schema\",\"v\":\"radiomc.trace/v2\",\"future\":\"field\"}\n"

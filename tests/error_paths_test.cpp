@@ -16,6 +16,7 @@
 #include "protocols/tree.h"
 #include "radio/network.h"
 #include "radio/schedule.h"
+#include "support/parse.h"
 #include "support/rng.h"
 
 namespace radiomc {
@@ -166,6 +167,31 @@ TEST(ErrorPaths, FaultPlanRejectsContradictoryCombinations) {
   p.window_end = 100;  // empty onset window
   EXPECT_EQ(fault_plan_rejection(p),
             "FaultPlan: fault window is empty (window_end <= window_start)");
+}
+
+// The one strict number parser behind every flag, spec and trace field.
+// Each row is an input the CLI used to accept silently (or die on with a
+// bare "stoull"): `--seed -1` ran with seed 2^64-1, `--k 3x` with k=3.
+TEST(ErrorPaths, StrictNumberParserRejectsWhatStoullAccepted) {
+  EXPECT_EQ(parse_u64("-1"), std::nullopt);   // --seed -1
+  EXPECT_EQ(parse_u64("3x"), std::nullopt);   // --k 3x
+  EXPECT_EQ(parse_u64("abc"), std::nullopt);  // --k abc
+  EXPECT_EQ(parse_u64(""), std::nullopt);
+  EXPECT_EQ(parse_u64(" 7"), std::nullopt);
+  EXPECT_EQ(parse_u64("+7"), std::nullopt);
+  EXPECT_EQ(parse_u64("18446744073709551616"), std::nullopt);  // 2^64
+  EXPECT_EQ(parse_u64("18446744073709551615"),
+            std::optional<std::uint64_t>(18446744073709551615ULL));
+  EXPECT_EQ(parse_u64("0"), std::optional<std::uint64_t>(0));
+
+  EXPECT_EQ(parse_f64("0.5x"), std::nullopt);  // --lambda 0.5x
+  EXPECT_EQ(parse_f64("nan"), std::nullopt);
+  EXPECT_EQ(parse_f64("inf"), std::nullopt);
+  EXPECT_EQ(parse_f64("1e999"), std::nullopt);
+  EXPECT_EQ(parse_f64(" 0.5"), std::nullopt);
+  EXPECT_EQ(parse_f64(""), std::nullopt);
+  EXPECT_EQ(parse_f64("-0.25"), std::optional<double>(-0.25));
+  EXPECT_EQ(parse_f64("2e-3"), std::optional<double>(2e-3));
 }
 
 TEST(ErrorPaths, FaultPlanAcceptsBoundaryValues) {

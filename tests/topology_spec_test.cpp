@@ -41,6 +41,15 @@ TEST(TopologySpec, RandomFamiliesAreConnectedAndSeeded) {
   EXPECT_TRUE(is_connected(e));
 }
 
+std::string rejection(const std::string& spec) {
+  try {
+    parse(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(TopologySpec, RejectsMalformedSpecs) {
   EXPECT_THROW(parse(""), std::invalid_argument);
   EXPECT_THROW(parse("pathway:5"), std::invalid_argument);
@@ -52,6 +61,16 @@ TEST(TopologySpec, RejectsMalformedSpecs) {
   EXPECT_THROW(parse("gnp:10:x"), std::invalid_argument);
   EXPECT_THROW(parse("tree:10"), std::invalid_argument);
   EXPECT_THROW(parse("path:5:9"), std::invalid_argument);
+  // Signs, whitespace, junk and overflow name the field; a negative
+  // dimension used to wrap to 2^64-1 and die in bad_alloc.
+  EXPECT_EQ(rejection("grid:-1x4"), "topology spec: bad rows '-1'");
+  EXPECT_EQ(rejection("grid:4x+4"), "topology spec: bad cols '+4'");
+  EXPECT_EQ(rejection("path: 5"), "topology spec: bad n ' 5'");
+  EXPECT_EQ(rejection("path:5k"), "topology spec: bad n '5k'");
+  EXPECT_EQ(rejection("path:18446744073709551616"),
+            "topology spec: bad n '18446744073709551616'");
+  EXPECT_EQ(rejection("gnp:10:inf"), "topology spec: bad p 'inf'");
+  EXPECT_EQ(rejection("udg:30:1e999"), "topology spec: bad radius '1e999'");
 }
 
 TEST(TopologySpec, GrammarMentionsEveryFamily) {

@@ -16,10 +16,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "perf/json_value.h"
 #include "perf/regression.h"
+#include "support/parse.h"
 
 namespace {
 
@@ -50,12 +52,12 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (arg == "--threshold") {
       if (i + 1 >= argc) return usage();
-      try {
-        opt.threshold = std::stod(argv[++i]);
-      } catch (const std::exception&) {
+      const std::optional<double> v = radiomc::parse_f64(argv[++i]);
+      if (!v) {
         std::fprintf(stderr, "radiomc_perf: bad --threshold '%s'\n", argv[i]);
         return 2;
       }
+      opt.threshold = *v;
     } else if (arg == "--json") {
       if (i + 1 >= argc) return usage();
       json_out = argv[++i];

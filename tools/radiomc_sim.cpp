@@ -53,6 +53,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,7 @@
 #include "service/certify.h"
 #include "service/service.h"
 #include "support/parallel.h"
+#include "support/parse.h"
 #include "support/rng.h"
 #include "support/util.h"
 #include "telemetry/jsonl_sink.h"
@@ -97,13 +99,44 @@ struct Args {
   }
   std::uint64_t get_u64(const std::string& key, std::uint64_t dflt) const {
     const auto it = options.find(key);
-    return it == options.end() ? dflt : std::stoull(it->second);
+    if (it == options.end()) return dflt;
+    const std::optional<std::uint64_t> v = parse_u64(it->second);
+    require(v.has_value(), "--" + key + ": '" + it->second +
+                               "' is not an unsigned integer");
+    return *v;
   }
   double get_f64(const std::string& key, double dflt) const {
     const auto it = options.find(key);
-    return it == options.end() ? dflt : std::stod(it->second);
+    if (it == options.end()) return dflt;
+    const std::optional<double> v = parse_f64(it->second);
+    require(v.has_value(),
+            "--" + key + ": '" + it->second + "' is not a number");
+    return *v;
   }
 };
+
+/// Every option usage() lists. One no command reads is a typo (--sed for
+/// --seed) that would otherwise run silently on defaults, so it is an
+/// error for every command.
+void reject_unknown_flags(const Args& a) {
+  static const std::set<std::string> kFlags = {
+      "admission", "alert-rules", "anon", "arrival", "attempts", "certify",
+      "certify-margin", "certify-sojourn", "dot", "edges", "envelope",
+      "fault-crash", "fault-drop", "fault-epoch", "fault-from", "fault-jam",
+      "fault-link-down", "fault-link-up", "fault-recover", "fault-stall",
+      "fault-until", "frames", "health-out", "health-window", "jobs", "k",
+      "lambda", "metrics-out", "no-autosleep", "no-dedup", "no-mod3",
+      "perf-out", "phases", "seed", "slots", "snapshot-every",
+      "snapshot-out", "soak-out", "source", "topology", "trace-agg",
+      "trace-max", "trace-out", "tree", "trials", "uniform", "warmup",
+      "window"};
+  for (const auto& [key, value] : a.options) {
+    (void)value;
+    require(kFlags.contains(key), "unknown option --" + key +
+                                      " (run radiomc_sim without arguments "
+                                      "for the option list)");
+  }
+}
 
 Args parse_args(int argc, char** argv) {
   Args a;
@@ -273,9 +306,11 @@ struct Obs {
     return o;
   }
 
-  telemetry::JsonlTraceSink* trace() { return sink.get(); }
-  perf::Profiler* profiler() { return prof.get(); }
-  SlotHook* slot_hook() { return snap.get(); }
+  /// The hub, trace sink, profiler and snapshot stream; no fault plan —
+  /// each command compiles its own from the --fault-* flags.
+  Instruments instruments() {
+    return {&tel, sink.get(), prof.get(), snap.get(), {}};
+  }
 
   /// Flushes the trace and writes the metrics document; `rc` passes
   /// through so commands can end with `return obs.finish(rc);`.
@@ -343,42 +378,47 @@ struct World {
   SetupOutcome setup;
 };
 
-/// `trace_setup`: attach the physical-event sink to the setup run itself
-/// (the `setup` command); other commands trace only their own protocol so
-/// slot timestamps in the trace refer to one network clock. `seed` stands
-/// in for --seed so each --trials repetition builds its own world.
-/// `setup_faults`: only the `setup` command injects faults into the setup
-/// run itself (and then tolerates a degraded outcome); every other
-/// command needs the tree, so its setup runs fault-free and the plan
-/// applies to the protocol under test.
-World make_world(const Args& a, std::uint64_t seed, bool need_setup,
-                 telemetry::Telemetry* tel = nullptr,
-                 TraceSink* setup_trace = nullptr,
-                 const FaultPlan* setup_faults = nullptr,
-                 perf::Profiler* profiler = nullptr,
-                 SlotHook* setup_hook = nullptr) {
+/// Builds the graph and runs the setup phase. `seed` stands in for --seed
+/// so each --trials repetition builds its own world. The setup always
+/// reports into `in`'s hub and profiler. Only when `setup_is_the_run` (the
+/// `setup` command) does it take the rest of `in` too: the trace sink and
+/// slot hook, so other commands' traces and snapshots follow one network
+/// clock, and the fault plan, whose degraded outcome it then tolerates —
+/// every other command needs the tree, so its setup runs fault-free.
+World make_world(const Args& a, std::uint64_t seed, const Instruments& in,
+                 bool setup_is_the_run = false) {
   Rng rng(seed);
   World w;
   w.g = gen::from_spec(a.get("topology", ""), rng);
-  if (need_setup) {
-    SetupTuning tuning;
-    tuning.random_id_bits =
-        static_cast<std::uint32_t>(a.get_u64("anon", 0));
-    tuning.telemetry = tel;
-    tuning.trace = setup_trace;
-    tuning.profiler = profiler;
-    tuning.slot_hook = setup_hook;
-    if (setup_faults != nullptr) tuning.faults = *setup_faults;
-    // --attempts caps the verify/restart loop; attempt lengths double, so
-    // under sustained faults the default budget of 12 can take ~2^12x the
-    // base attempt length before reporting degraded.
-    const auto max_attempts =
-        static_cast<std::uint32_t>(a.get_u64("attempts", 12));
-    w.setup = run_setup(w.g, rng.next(), tuning, max_attempts);
-    if (setup_faults == nullptr || !setup_faults->any())
-      require(w.setup.ok, "setup failed");
+  SetupTuning tuning;
+  if (setup_is_the_run) {
+    static_cast<Instruments&>(tuning) = in;
+  } else {
+    tuning.telemetry = in.telemetry;
+    tuning.profiler = in.profiler;
   }
+  tuning.random_id_bits = static_cast<std::uint32_t>(a.get_u64("anon", 0));
+  // --attempts caps the verify/restart loop; attempt lengths double, so
+  // under sustained faults the default budget of 12 can take ~2^12x the
+  // base attempt length before reporting degraded.
+  const auto max_attempts =
+      static_cast<std::uint32_t>(a.get_u64("attempts", 12));
+  w.setup = run_setup(w.g, rng.next(), tuning, max_attempts);
+  if (!tuning.faults.any()) require(w.setup.ok, "setup failed");
   return w;
+}
+
+/// Records run context in the JSONL trace's schema header so radiomc_trace
+/// can decode slots and attribute events to BFS levels offline. A no-op
+/// without --trace-out.
+void label_trace(const Instruments& in, const char* protocol,
+                 const SlotStructure* slots,
+                 const std::vector<std::uint32_t>* levels) {
+  auto* sink = dynamic_cast<telemetry::JsonlTraceSink*>(in.trace);
+  if (sink == nullptr) return;
+  sink->set_protocol(protocol);
+  if (slots != nullptr) sink->set_slot_structure(*slots);
+  if (levels != nullptr) sink->set_levels(*levels);
 }
 
 template <typename... A>
@@ -407,9 +447,7 @@ struct TrialOut {
 };
 
 using CoreFn = TrialOut (*)(const Args&, std::uint64_t seed,
-                            telemetry::Telemetry* tel,
-                            telemetry::JsonlTraceSink* trace,
-                            perf::Profiler* prof, SlotHook* hook);
+                            const Instruments& in);
 
 /// Dispatch for the trial-parallel commands. Without --trials this is the
 /// historical single-run path, byte for byte. With --trials N, trial t's
@@ -420,8 +458,7 @@ int run_cmd(const Args& a, CoreFn core) {
   Obs obs = Obs::from_args(a);
   const std::uint64_t trials = a.get_u64("trials", 1);
   if (trials <= 1) {
-    const TrialOut out = core(a, a.get_u64("seed", 1), &obs.tel, obs.trace(),
-                              obs.profiler(), obs.slot_hook());
+    const TrialOut out = core(a, a.get_u64("seed", 1), obs.instruments());
     std::fputs(out.report.c_str(), stdout);
     return obs.finish(out.rc);
   }
@@ -451,12 +488,13 @@ int run_cmd(const Args& a, CoreFn core) {
   // the command level records one aggregate span over the whole pool run —
   // the same place per-trial telemetry merges.
   const auto outs = [&] {
-    perf::PerfSpan pool_span(obs.profiler(), "trials.run");
+    perf::PerfSpan pool_span(obs.prof.get(), "trials.run");
     return run_indexed(trials, jobs, [&](std::uint64_t t) {
       Slot s;
       s.tel = std::make_unique<telemetry::Telemetry>();
-      const TrialOut out =
-          core(a, seeds[t], s.tel.get(), nullptr, nullptr, nullptr);
+      Instruments trial;
+      trial.telemetry = s.tel.get();
+      const TrialOut out = core(a, seeds[t], trial);
       s.rc = out.rc;
       s.report = out.report;
       return s;
@@ -508,18 +546,16 @@ int cmd_topo(const Args& a) {
 
 int cmd_steady(const Args& a) {
   Obs obs = Obs::from_args(a);
-  World w = make_world(a, a.get_u64("seed", 1), true, &obs.tel, nullptr,
-                       nullptr, obs.profiler());
+  const Instruments in = obs.instruments();
+  World w = make_world(a, a.get_u64("seed", 1), in);
   Rng rng(a.get_u64("seed", 1) ^ 0xB5);
   const double mu = queueing::mu_decay();
-  const double lambda =
-      std::stod(a.get("lambda", "0.5")) * mu;  // --lambda = fraction of mu
+  const double lambda = a.get_f64("lambda", 0.5) * mu;  // fraction of mu
   const FaultPlan faults = faults_from_args(a);
   const auto out = run_collection_steady_state(
       w.g, w.setup.tree, lambda, a.get_u64("phases", 20000),
       a.get_u64("warmup", 2000), rng.next(),
-      ArrivalPlacement::kDeepestLevel, faults, obs.profiler(),
-      obs.slot_hook());
+      ArrivalPlacement::kDeepestLevel, faults, in.profiler, in.slot_hook);
   obs.tel.timeline.record(
       "steady_state", "phases", 0, out.phases,  // span unit: phases
       {{"arrivals", static_cast<std::int64_t>(out.arrivals)},
@@ -544,14 +580,12 @@ int cmd_steady(const Args& a) {
   return obs.finish(0);
 }
 
-TrialOut setup_core(const Args& a, std::uint64_t seed,
-                    telemetry::Telemetry* tel,
-                    telemetry::JsonlTraceSink* trace, perf::Profiler* prof,
-                    SlotHook* hook) {
-  const FaultPlan faults = faults_from_args(a);
-  if (trace != nullptr) trace->set_protocol("setup");
-  const World w = make_world(a, seed, true, tel, /*setup_trace=*/trace,
-                             &faults, prof, /*setup_hook=*/hook);
+TrialOut setup_core(const Args& a, std::uint64_t seed, const Instruments& in) {
+  Instruments setup_in = in;
+  setup_in.faults = faults_from_args(a);
+  const FaultPlan& faults = setup_in.faults;
+  label_trace(in, "setup", nullptr, nullptr);
+  const World w = make_world(a, seed, setup_in, /*setup_is_the_run=*/true);
   TrialOut out;
   if (!w.setup.ok) {
     out.report = strf("setup on %s: %s after %u attempts (%llu slots)\n",
@@ -577,9 +611,7 @@ TrialOut setup_core(const Args& a, std::uint64_t seed,
 
 int cmd_setup(const Args& a) { return run_cmd(a, setup_core); }
 
-TrialOut flood_core(const Args& a, std::uint64_t seed,
-                    telemetry::Telemetry* tel, telemetry::JsonlTraceSink*,
-                    perf::Profiler* prof, SlotHook*) {
+TrialOut flood_core(const Args& a, std::uint64_t seed, const Instruments& in) {
   Rng rng(seed);
   const Graph g = gen::from_spec(a.get("topology", ""), rng);
   const NodeId source = static_cast<NodeId>(a.get_u64("source", 0));
@@ -589,7 +621,7 @@ TrialOut flood_core(const Args& a, std::uint64_t seed,
   const auto out = [&] {
     // run_bgi_broadcast predates the config-struct hook plumbing; the
     // span around the call still lands the flood in the perf report.
-    perf::PerfSpan span(prof, "flood.run");
+    perf::PerfSpan span(in.profiler, "flood.run");
     return run_bgi_broadcast(g, source, phases, rng.next(), faults);
   }();
   TrialOut r;
@@ -597,16 +629,19 @@ TrialOut flood_core(const Args& a, std::uint64_t seed,
                   out.informed_count, g.num_nodes(),
                   static_cast<unsigned long long>(out.slots));
   r.report += fault_report_line(faults);
-  tel->timeline.record(
-      "flood", "run", 0, out.slots,
-      {{"informed", static_cast<std::int64_t>(out.informed_count)},
-       {"n", static_cast<std::int64_t>(g.num_nodes())}});
-  tel->metrics.counter("flood.informed").inc(out.informed_count);
-  telemetry::Distribution& at = tel->metrics.distribution(
-      "flood.informed_at", {}, telemetry::Scale::kLog2);
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    if (out.informed[v])
-      at.add(static_cast<std::int64_t>(out.informed_at[v]));
+  if (in.telemetry != nullptr) {
+    telemetry::Telemetry& tel = *in.telemetry;
+    tel.timeline.record(
+        "flood", "run", 0, out.slots,
+        {{"informed", static_cast<std::int64_t>(out.informed_count)},
+         {"n", static_cast<std::int64_t>(g.num_nodes())}});
+    tel.metrics.counter("flood.informed").inc(out.informed_count);
+    telemetry::Distribution& at = tel.metrics.distribution(
+        "flood.informed_at", {}, telemetry::Scale::kLog2);
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      if (out.informed[v])
+        at.add(static_cast<std::int64_t>(out.informed_at[v]));
+  }
   r.rc = out.informed_count == g.num_nodes() ? 0 : 1;
   return r;
 }
@@ -614,10 +649,8 @@ TrialOut flood_core(const Args& a, std::uint64_t seed,
 int cmd_flood(const Args& a) { return run_cmd(a, flood_core); }
 
 TrialOut collect_core(const Args& a, std::uint64_t seed,
-                      telemetry::Telemetry* tel,
-                      telemetry::JsonlTraceSink* trace, perf::Profiler* prof,
-                      SlotHook* hook) {
-  World w = make_world(a, seed, true, tel, nullptr, nullptr, prof);
+                      const Instruments& in) {
+  World w = make_world(a, seed, in);
   Rng rng(seed ^ 0xC0);
   const std::uint64_t k = a.get_u64("k", 16);
   std::vector<Message> init;
@@ -631,17 +664,8 @@ TrialOut collect_core(const Args& a, std::uint64_t seed,
   }
   CollectionConfig cfg = CollectionConfig::for_graph(w.g);
   if (a.has("no-mod3")) cfg.slots.mod3_gating = false;
-  cfg.telemetry = tel;
-  cfg.trace = trace;
-  if (trace != nullptr) {
-    // Record run context in the trace's schema header so radiomc_trace
-    // can decode slots and attribute events to BFS levels offline.
-    trace->set_protocol("collection");
-    trace->set_slot_structure(cfg.slots);
-    trace->set_levels(w.setup.tree.level);
-  }
-  cfg.profiler = prof;
-  cfg.slot_hook = hook;  // snapshots track the collection network's clock
+  static_cast<Instruments&>(cfg) = in;
+  label_trace(in, "collection", &cfg.slots, &w.setup.tree.level);
   cfg.faults = faults_from_args(a);
   cfg.stall_slots = a.get_u64("fault-stall", 0);
   const auto out = run_collection(w.g, w.setup.tree, init, cfg, rng.next());
@@ -661,11 +685,8 @@ TrialOut collect_core(const Args& a, std::uint64_t seed,
 
 int cmd_collect(const Args& a) { return run_cmd(a, collect_core); }
 
-TrialOut p2p_core(const Args& a, std::uint64_t seed,
-                  telemetry::Telemetry* tel,
-                  telemetry::JsonlTraceSink* trace, perf::Profiler* prof,
-                  SlotHook* hook) {
-  World w = make_world(a, seed, true, tel, nullptr, nullptr, prof);
+TrialOut p2p_core(const Args& a, std::uint64_t seed, const Instruments& in) {
+  World w = make_world(a, seed, in);
   Rng rng(seed ^ 0xB1);
   const std::uint64_t k = a.get_u64("k", 16);
   PreparationResult prep;
@@ -677,15 +698,8 @@ TrialOut p2p_core(const Args& a, std::uint64_t seed,
     reqs.push_back({static_cast<NodeId>(rng.next_below(w.g.num_nodes())),
                     static_cast<NodeId>(rng.next_below(w.g.num_nodes())), i});
   P2pConfig pcfg = P2pConfig::for_graph(w.g);
-  pcfg.telemetry = tel;
-  pcfg.trace = trace;
-  if (trace != nullptr) {
-    trace->set_protocol("p2p");
-    trace->set_slot_structure(pcfg.slots);
-    trace->set_levels(w.setup.tree.level);
-  }
-  pcfg.profiler = prof;
-  pcfg.slot_hook = hook;
+  static_cast<Instruments&>(pcfg) = in;
+  label_trace(in, "p2p", &pcfg.slots, &w.setup.tree.level);
   pcfg.faults = faults_from_args(a);
   pcfg.stall_slots = a.get_u64("fault-stall", 0);
   const auto out = run_point_to_point(w.g, prep, reqs, pcfg, rng.next());
@@ -704,25 +718,17 @@ TrialOut p2p_core(const Args& a, std::uint64_t seed,
 int cmd_p2p(const Args& a) { return run_cmd(a, p2p_core); }
 
 TrialOut broadcast_core(const Args& a, std::uint64_t seed,
-                        telemetry::Telemetry* tel,
-                        telemetry::JsonlTraceSink* trace,
-                        perf::Profiler* prof, SlotHook* hook) {
-  World w = make_world(a, seed, true, tel, nullptr, nullptr, prof);
+                        const Instruments& in) {
+  World w = make_world(a, seed, in);
   Rng rng(seed ^ 0xB2);
   const std::uint64_t k = a.get_u64("k", 16);
   BroadcastServiceConfig cfg = BroadcastServiceConfig::for_graph(w.g);
   cfg.distribution.window =
       static_cast<std::uint32_t>(a.get_u64("window", 0));
-  cfg.telemetry = tel;
-  cfg.trace = trace;
-  cfg.profiler = prof;
-  cfg.slot_hook = hook;
+  static_cast<Instruments&>(cfg) = in;
   cfg.faults = faults_from_args(a);
   cfg.stall_slots = a.get_u64("fault-stall", 0);
-  if (trace != nullptr) {
-    trace->set_protocol("broadcast");
-    trace->set_levels(w.setup.tree.level);
-  }
+  label_trace(in, "broadcast", nullptr, &w.setup.tree.level);
   std::vector<NodeId> sources;
   for (std::uint64_t i = 0; i < k; ++i)
     sources.push_back(static_cast<NodeId>(rng.next_below(w.g.num_nodes())));
@@ -743,9 +749,7 @@ TrialOut broadcast_core(const Args& a, std::uint64_t seed,
 
 int cmd_broadcast(const Args& a) { return run_cmd(a, broadcast_core); }
 
-TrialOut serve_core(const Args& a, std::uint64_t seed,
-                    telemetry::Telemetry* tel, telemetry::JsonlTraceSink*,
-                    perf::Profiler* prof, SlotHook* hook) {
+TrialOut serve_core(const Args& a, std::uint64_t seed, const Instruments& in) {
   namespace svc = radiomc::service;
   const svc::AdmissionPolicy policy =
       svc::admission_policy_from_string(a.get("admission", "off"));
@@ -758,10 +762,10 @@ TrialOut serve_core(const Args& a, std::uint64_t seed,
                                   a.has("health-window"),
                                   a.get_u64("health-window", 64));
 
-  World w = make_world(a, seed, true, tel, nullptr, nullptr, prof);
+  World w = make_world(a, seed, in);
   Rng rng(seed ^ 0xB6);
 
-  svc::ServeConfig cfg;
+  svc::ServeConfig cfg(in);
   cfg.arrival = svc::ArrivalSpec::parse(a.get("arrival", "bernoulli:0.1"));
   cfg.admission.policy = policy;
   cfg.admission.envelope_multiple = a.get_f64("envelope", 8.0);
@@ -777,9 +781,6 @@ TrialOut serve_core(const Args& a, std::uint64_t seed,
   cfg.dedup_guard = !a.has("no-dedup");
   cfg.autosleep = !a.has("no-autosleep");
   cfg.faults = faults_from_args(a);
-  cfg.telemetry = tel;
-  cfg.profiler = prof;
-  cfg.slot_hook = hook;
 
   // --health-out: attach the online monitor. Its flight recorder rides the
   // same null-guarded TraceSink hook as --trace-out elsewhere, so a run
@@ -842,15 +843,16 @@ TrialOut serve_core(const Args& a, std::uint64_t seed,
         health_path.c_str());
   }
 
-  if (tel != nullptr) {
-    tel->timeline.record(
+  if (in.telemetry != nullptr) {
+    telemetry::Telemetry& tel = *in.telemetry;
+    tel.timeline.record(
         "serve", "phases", 0, cfg.warmup_phases + cfg.phases,
         {{"arrivals", static_cast<std::int64_t>(out.arrivals)},
          {"delivered", static_cast<std::int64_t>(out.delivered)},
          {"shed", static_cast<std::int64_t>(out.shed)}});
-    tel->metrics.gauge("service.mean_population", {{"protocol", "serve"}})
+    tel.metrics.gauge("service.mean_population", {{"protocol", "serve"}})
         .set(out.population.mean());
-    tel->metrics.gauge("service.mean_sojourn_phases", {{"protocol", "serve"}})
+    tel.metrics.gauge("service.mean_sojourn_phases", {{"protocol", "serve"}})
         .set(out.sojourn_phases.mean());
   }
 
@@ -909,8 +911,7 @@ int cmd_serve(const Args& a) {
 
 int cmd_ranking(const Args& a) {
   Obs obs = Obs::from_args(a);
-  World w = make_world(a, a.get_u64("seed", 1), true, &obs.tel, nullptr,
-                       nullptr, obs.profiler());
+  World w = make_world(a, a.get_u64("seed", 1), obs.instruments());
   Rng rng(a.get_u64("seed", 1) ^ 0xB3);
   PreparationResult prep;
   prep.ok = true;
@@ -935,8 +936,7 @@ int cmd_ranking(const Args& a) {
 int cmd_ethernet(const Args& a) {
   reject_fault_flags(a, "ethernet");
   Obs obs = Obs::from_args(a);
-  World w = make_world(a, a.get_u64("seed", 1), true, &obs.tel, nullptr,
-                       nullptr, obs.profiler());
+  World w = make_world(a, a.get_u64("seed", 1), obs.instruments());
   Rng rng(a.get_u64("seed", 1) ^ 0xB4);
   const std::uint32_t frames =
       static_cast<std::uint32_t>(a.get_u64("frames", 1));
@@ -965,6 +965,7 @@ int cmd_ethernet(const Args& a) {
 int main(int argc, char** argv) {
   const Args a = parse_args(argc, argv);
   try {
+    reject_unknown_flags(a);
     // The health monitor paces on service phases, which only serve has;
     // everywhere else the flags would be silent no-ops, so hard-error.
     if (a.command != "serve")

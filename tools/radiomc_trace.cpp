@@ -30,6 +30,7 @@
 #include "analysis/lifecycle.h"
 #include "analysis/report.h"
 #include "analysis/trace_reader.h"
+#include "support/parse.h"
 
 using namespace radiomc;
 using namespace radiomc::analysis;
@@ -71,10 +72,18 @@ bool parse_cli(int argc, char** argv, Cli* cli) {
       cli->strict = true;
     } else if (arg == "--json" && i + 1 < argc) {
       cli->json_out = argv[++i];
-    } else if (arg == "--origin" && i + 1 < argc) {
-      cli->origin = std::stoull(argv[++i]);
-    } else if (arg == "--seq" && i + 1 < argc) {
-      cli->seq = std::stoull(argv[++i]);
+    } else if ((arg == "--origin" || arg == "--seq") && i + 1 < argc) {
+      const std::optional<std::uint64_t> v = parse_u64(argv[++i]);
+      if (!v) {
+        std::fprintf(stderr, "radiomc_trace: bad %s '%s'\n", arg.c_str(),
+                     argv[i]);
+        return false;
+      }
+      if (arg == "--origin") {
+        cli->origin = v;
+      } else {
+        cli->seq = v;
+      }
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
