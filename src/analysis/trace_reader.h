@@ -12,10 +12,12 @@
 //    line number, because a partially-understood trace would silently
 //    corrupt every downstream statistic.
 //
-// The JSON subset accepted is exactly what the sink emits: one flat object
-// per line with string / unsigned-integer / boolean scalars and one
-// integer array ("levels"). There is no general JSON parser in the repo
-// and this reader deliberately does not become one.
+// Each line is parsed by the shared strict JSON parser
+// (telemetry/json_value.h); this reader adds the typed field checks. A
+// known key that is present but not of its field's type — or an integer
+// too wide for its field (32 bits for node/channel ids, seq, txn,
+// decay_len and each "levels" element; 64 for slots and counts) — fails
+// the line and names the key. Unknown keys may hold any JSON value.
 
 #include <istream>
 #include <string>

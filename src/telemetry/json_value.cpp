@@ -1,29 +1,26 @@
-#include "perf/json_value.h"
+#include "telemetry/json_value.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
-namespace radiomc::perf {
+#include "support/parse.h"
+
+namespace radiomc::telemetry {
 
 namespace {
 const JsonValue kNullSentinel;
 }  // namespace
 
-const JsonValue& JsonValue::at(std::string_view key) const noexcept {
+const JsonValue* JsonValue::find(std::string_view key) const noexcept {
   for (const auto& [k, v] : obj_)
-    if (k == key) return v;
-  return kNullSentinel;
+    if (k == key) return &v;
+  return nullptr;
 }
 
-bool JsonValue::at_present(std::string_view key) const noexcept {
-  for (const auto& [k, v] : obj_) {
-    (void)v;
-    if (k == key) return true;
-  }
-  return false;
+const JsonValue& JsonValue::at(std::string_view key) const noexcept {
+  const JsonValue* v = find(key);
+  return v != nullptr ? *v : kNullSentinel;
 }
 
 JsonValue JsonValue::make_bool(bool b) {
@@ -32,10 +29,12 @@ JsonValue JsonValue::make_bool(bool b) {
   v.bool_ = b;
   return v;
 }
-JsonValue JsonValue::make_number(double d) {
+JsonValue JsonValue::make_number(double d,
+                                 std::optional<std::uint64_t> exact) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
   v.num_ = d;
+  v.u64_ = exact;
   return v;
 }
 JsonValue JsonValue::make_string(std::string s) {
@@ -107,8 +106,15 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) return fail("nesting deeper than 512");
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!parse_string(&s)) return false;
@@ -204,6 +210,10 @@ class Parser {
         *out = std::move(s);
         return true;
       }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        return fail("raw control character in string");
+      }
       if (c != '\\') {
         s += c;
         continue;
@@ -253,28 +263,55 @@ class Parser {
     return fail("unterminated string");
   }
 
+  bool is_digit_at(std::size_t i) const {
+    return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
+  }
+  void skip_digits() {
+    while (is_digit_at(pos_)) ++pos_;
+  }
+
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool parse_number(JsonValue* out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+    const bool negative = text_[pos_] == '-';
+    if (negative) ++pos_;
+    if (!is_digit_at(pos_))
+      return fail(negative ? "expected a digit after '-'" : "expected a value");
+    if (text_[pos_] == '0' && is_digit_at(pos_ + 1))
+      return fail("leading zero in number");
+    skip_digits();
+    const std::size_t int_end = pos_;
+    if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-    if (pos_ == start) return fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* endp = nullptr;
-    const double d = std::strtod(token.c_str(), &endp);
-    if (endp == nullptr || *endp != '\0') {
-      pos_ = start;
-      return fail("malformed number");
+      if (!is_digit_at(pos_)) return fail("expected a digit after '.'");
+      skip_digits();
     }
-    *out = JsonValue::make_number(d);
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      if (!is_digit_at(pos_)) return fail("expected a digit in exponent");
+      skip_digits();
+    }
+    const std::string_view token = text_.substr(start, pos_ - start);
+    const bool digits_only = !negative && pos_ == int_end;
+    const std::optional<double> d = parse_f64(token);
+    if (!d) {
+      pos_ = start;
+      return fail("number out of range");
+    }
+    *out = JsonValue::make_number(
+        *d, digits_only ? parse_u64(token) : std::nullopt);
     return true;
   }
 
+  // Bounds the recursion, so a line of 10^6 '[' fails instead of
+  // overflowing the stack; the writers nest a handful of levels.
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 
@@ -298,4 +335,4 @@ JsonParseResult parse_json_file(const std::string& path) {
   return r;
 }
 
-}  // namespace radiomc::perf
+}  // namespace radiomc::telemetry

@@ -11,6 +11,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/anomaly.h"
@@ -238,6 +239,102 @@ TEST(TraceReader, IgnoresUnknownKeysAndBlankLines) {
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.trace.events.size(), 1u);
   EXPECT_EQ(r.trace.events[0].t, 4u);
+
+  // Unknown keys may hold any JSON value; \u escapes decode.
+  const TraceReadResult any = parse(
+      "{\"ev\":\"schema\",\"v\":\"radiomc.trace/v2\",\"protocol\":"
+      "\"\\u0063ollection\",\"x\":{\"y\":[null,true,-1.5,{}]}}\n"
+      "{\"ev\":\"tx\",\"t\":9007199254740993,\"node\":4294967295,"
+      "\"kind\":\"data\",\"z\":[]}\n");
+  ASSERT_TRUE(any.ok) << any.error;
+  EXPECT_EQ(any.trace.schema.protocol, "collection");
+  ASSERT_EQ(any.trace.events.size(), 1u);
+  EXPECT_EQ(any.trace.events[0].t, 9007199254740993u);  // past 2^53, exact
+  EXPECT_EQ(any.trace.events[0].node, 4294967295u);
+}
+
+TEST(TraceReader, RejectsNarrowingAndWrongTypedKnownKeys) {
+  const std::string schema = "{\"ev\":\"schema\",\"v\":\"radiomc.trace/v2\"";
+  const std::string hdr = schema + "}\n";
+  // Each row: a stream, and the error its last line must fail with.
+  std::vector<std::pair<std::string, std::string>> rows = {
+      {schema + R"(,"decay_len":4294967296})",
+       R"(out of range value for key "decay_len")"},
+      {schema + R"(,"levels":[4294967297]})",
+       R"(out of range array element for key "levels")"},
+      {schema + R"(,"levels":[-1]})", R"(bad array element for key "levels")"},
+      {schema + R"(,"ack":1,"decay_len":4})", R"(bad value for key "ack")"},
+      {hdr + R"({"ev":"coll","t":1,"node":0,"txn":4294967296})",
+       R"(out of range value for key "txn")"},
+      {hdr + R"({"ev":"tx","t":1,"node":0,"ch":-1,"kind":"data"})",
+       R"(bad value for key "ch")"},
+      {hdr + R"({"ev":"tx","t":1,"node":0,"ch":2.5,"kind":"data"})",
+       R"(bad value for key "ch")"},
+      {hdr + R"({"ev":"tx","t":1e3,"node":0,"kind":"data"})",
+       R"(bad value for key "t")"},
+      {hdr + R"({"ev":"tx","t":1,"node":0,"kind":"data","seq":"7"})",
+       R"(bad value for key "seq")"},
+      {hdr + R"({"ev":"tx","t":1,"node":0,"kind":7})",
+       R"(bad value for key "kind")"},
+  };
+  // One past 2^32-1 in each 32-bit event field.
+  for (const std::string key :
+       {"node", "ch", "origin", "seq", "dest", "from", "fp"})
+    rows.push_back({hdr + "{\"ev\":\"rx\",\"t\":1,\"kind\":\"data\"" +
+                        (key == "node" ? "" : ",\"node\":0") + ",\"" + key +
+                        "\":4294967296}",
+                    "out of range value for key \"" + key + "\""});
+  for (const auto& [text, error] : rows) {
+    const TraceReadResult r = parse(text + "\n");
+    EXPECT_EQ(r.error, "malformed JSONL: " + error);
+    EXPECT_EQ(r.line_no, text.find('\n') == std::string::npos ? 1u : 2u);
+  }
+}
+
+TEST(TraceReader, EveryTruncatedLineFailsOnThatLine) {
+  // A golden multi-record stream: schema with slot algebra and levels,
+  // every event kind, an aggregate window and the truncation record.
+  std::ostringstream os;
+  telemetry::JsonlOptions opt;
+  opt.aggregate_every = 4;
+  opt.max_events = 4;
+  telemetry::JsonlTraceSink sink(os, opt);
+  sink.set_slot_structure(SlotStructure{});
+  sink.set_levels({1, 0});
+  Message m;
+  m.kind = MsgKind::kData;
+  m.dest = 1;
+  m.sender = 0;
+  m.sender_parent = 1;
+  sink.on_transmit(0, 0, 0, m);
+  sink.on_deliver(0, 1, 0, m);
+  sink.on_collision(1, 1, 0, 2);
+  sink.on_collision(2, 1, 0, 1);
+  sink.on_transmit(5, 0, 0, m);
+  sink.finish();
+  std::vector<std::string> lines;
+  std::istringstream in(os.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_GE(lines.size(), 8u);
+  ASSERT_TRUE(parse(os.str()).ok);
+
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (std::size_t cut = 0; cut < lines[i].size(); ++cut) {
+      std::string text;
+      for (std::size_t j = 0; j < lines.size(); ++j)
+        text += (j == i ? lines[j].substr(0, cut) : lines[j]) + "\n";
+      const TraceReadResult r = parse(text);
+      // A line cut to nothing is a blank line, which is skipped; without
+      // the schema line the next record is the first one and fails.
+      if (cut == 0 && i > 0) {
+        EXPECT_TRUE(r.ok) << "line " << i + 1 << ": " << r.error;
+        continue;
+      }
+      EXPECT_FALSE(r.ok) << "line " << i + 1 << " cut at " << cut;
+      EXPECT_EQ(r.line_no, cut == 0 ? 2u : i + 1) << "cut at " << cut;
+      EXPECT_FALSE(r.error.empty());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

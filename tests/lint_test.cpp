@@ -24,8 +24,8 @@
 #include "lint/lexer.h"
 #include "lint/rules.h"
 #include "lint/runner.h"
-#include "perf/json_value.h"
 #include "radio/message.h"
+#include "telemetry/json_value.h"
 #include "telemetry/jsonl_sink.h"
 
 namespace {
@@ -1033,9 +1033,9 @@ TEST(LintReportV2, RoundTripsThroughTheJsonParser) {
   std::ostringstream os;
   radiomc::lint::write_json_report(os, result, /*wall_ms=*/1.5);
 
-  const auto parsed = radiomc::perf::parse_json(os.str());
+  const auto parsed = radiomc::telemetry::parse_json(os.str());
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  const radiomc::perf::JsonValue& doc = parsed.value;
+  const radiomc::telemetry::JsonValue& doc = parsed.value;
   EXPECT_EQ(doc.at("schema").as_string(), "radiomc.lint/v2");
 
   const auto& findings = doc.at("findings").items();

@@ -23,20 +23,20 @@
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "perf/json_value.h"
 #include "perf/profiler.h"
 #include "perf/regression.h"
 #include "perf/report.h"
 #include "perf/snapshot.h"
 #include "protocols/collection.h"
 #include "protocols/tree.h"
+#include "telemetry/json_value.h"
 #include "telemetry/metrics.h"
 
 namespace {
 
 using radiomc::perf::DiffOptions;
 using radiomc::perf::DiffReport;
-using radiomc::perf::JsonValue;
+using radiomc::telemetry::JsonValue;
 using radiomc::perf::PerfSpan;
 using radiomc::perf::Profiler;
 using radiomc::perf::SnapshotStreamer;
@@ -139,7 +139,7 @@ TEST(PerfReport, EmittedDocumentMatchesSchema) {
   run.jobs = 3;
   run.slots = 128;
 
-  const auto doc = radiomc::perf::parse_json(to_perf_json(p, run));
+  const auto doc = radiomc::telemetry::parse_json(to_perf_json(p, run));
   ASSERT_TRUE(doc.ok) << doc.error;
   const JsonValue& v = doc.value;
 
@@ -174,7 +174,7 @@ TEST(PerfReport, UnbalancedRunIsVisibleInOpenSpans) {
   p.begin("leaked");
   radiomc::perf::RunInfo run;
   run.tool = "perf_test";
-  const auto doc = radiomc::perf::parse_json(to_perf_json(p, run));
+  const auto doc = radiomc::telemetry::parse_json(to_perf_json(p, run));
   ASSERT_TRUE(doc.ok) << doc.error;
   EXPECT_EQ(doc.value.at("open_spans").as_int(), 1);
 }
@@ -318,7 +318,7 @@ TEST(SnapshotFlags, ZeroCadenceIsRejectedAndValidComboPasses) {
 // ---------------------------------------------------------------------------
 
 JsonValue Parse(const std::string& text) {
-  const auto r = radiomc::perf::parse_json(text);
+  const auto r = radiomc::telemetry::parse_json(text);
   EXPECT_TRUE(r.ok) << r.error;
   return r.value;
 }

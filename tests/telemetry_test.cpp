@@ -1,21 +1,22 @@
-// The telemetry subsystem: registry snapshot/JSON round-trip (with a small
-// JSON well-formedness checker), the phase timeline produced by a full
+// The telemetry subsystem: registry snapshot/JSON round-trip (validated by
+// the shared strict JSON parser), the phase timeline produced by a full
 // setup run, and a golden-file test of the JSONL trace sink on a tiny
 // deterministic topology.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <deque>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
 #include "protocols/setup.h"
 #include "radio/network.h"
 #include "support/rng.h"
+#include "telemetry/json_value.h"
 #include "telemetry/json_writer.h"
 #include "telemetry/jsonl_sink.h"
 #include "telemetry/metrics.h"
@@ -31,131 +32,11 @@ using telemetry::MetricsSnapshot;
 using telemetry::PhaseTimeline;
 using telemetry::Scale;
 
-// ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON well-formedness checker. It accepts
-// exactly RFC 8259 documents (no trailing commas, no bare values outside
-// the grammar) and is used to validate every serializer in the subsystem
-// without depending on an external parser.
-
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') { ++pos_; return true; }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= s_.size() || !std::isxdigit(
-                    static_cast<unsigned char>(s_[pos_])))
-              return false;
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(e) ==
-                   std::string_view::npos) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (!digits()) return false;
-    if (peek() == '.') { ++pos_; if (!digits()) return false; }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!digits()) return false;
-    }
-    return pos_ > start;
-  }
-  bool digits() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-    return pos_ > start;
-  }
-  bool literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-bool well_formed(std::string_view json) { return JsonChecker(json).valid(); }
+// Every serializer in the subsystem is validated by the shared strict
+// parser (telemetry/json_value.h).
+bool well_formed(std::string_view json) {
+  return telemetry::parse_json(json).ok;
+}
 
 TEST(JsonChecker, AcceptsAndRejects) {
   EXPECT_TRUE(well_formed(R"({"a":[1,2.5,-3e2],"b":{"c":"x\n"},"d":null})"));
@@ -164,6 +45,29 @@ TEST(JsonChecker, AcceptsAndRejects) {
   EXPECT_FALSE(well_formed(R"({"a" 1})"));       // missing colon
   EXPECT_FALSE(well_formed(R"(["unterminated)"));
   EXPECT_FALSE(well_formed("{} extra"));
+  EXPECT_FALSE(well_formed("+1"));               // leading '+'
+  EXPECT_FALSE(well_formed("01"));               // leading zero
+  EXPECT_FALSE(well_formed(".5"));               // no integer part
+  EXPECT_FALSE(well_formed("1."));               // no fraction digits
+  EXPECT_FALSE(well_formed("1e999"));            // overflows to inf
+  EXPECT_FALSE(well_formed("-1e999"));           // overflows to -inf
+  EXPECT_FALSE(well_formed("\"\x01\""));          // raw control byte
+  EXPECT_FALSE(well_formed(std::string(100000, '[')));  // nesting bound
+}
+
+TEST(JsonValue, ErrorsNameTheByteAndIntegersStayExact) {
+  EXPECT_EQ(telemetry::parse_json("[0,01]").error,
+            "leading zero in number at byte 3");
+  EXPECT_EQ(telemetry::parse_json("\"a\tb\"").error,
+            "raw control character in string at byte 2");
+  const auto doc =
+      telemetry::parse_json("[18446744073709551615,18446744073709551616,1e30]");
+  ASSERT_TRUE(doc.ok) << doc.error;
+  const auto& v = doc.value.items();
+  EXPECT_EQ(v[0].as_u64(), 18446744073709551615u);
+  EXPECT_FALSE(v[1].as_u64());     // past 2^64-1
+  EXPECT_FALSE(v[2].as_u64());     // exponent form
+  EXPECT_EQ(v[2].as_int(-7), -7);  // outside int64: the default, not UB
 }
 
 TEST(JsonWriter, EscapingAndNonFinite) {

@@ -23,10 +23,10 @@
 #include <string>
 #include <vector>
 
-#include "perf/json_value.h"
+#include "telemetry/json_value.h"
 
-using radiomc::perf::JsonValue;
-using radiomc::perf::parse_json;
+using radiomc::telemetry::JsonValue;
+using radiomc::telemetry::parse_json;
 
 namespace {
 
@@ -128,6 +128,15 @@ bool read_stream(const std::string& path, Stream* s) {
     const auto parsed = parse_json(line);
     if (!parsed.ok) return fail("bad JSON: " + parsed.error);
     const JsonValue& v = parsed.value;
+    // A count reads as 0 when absent; a present one that is not an
+    // unsigned integer fails the stream once the line is read.
+    std::string bad_key;
+    auto count = [&](const char* key) -> std::uint64_t {
+      if (!v.has(key)) return 0;
+      if (const auto u = v.at(key).as_u64()) return *u;
+      if (bad_key.empty()) bad_key = key;
+      return 0;
+    };
     const std::string ev = v.at("ev").as_string();
     if (line_no == 1) {
       if (ev != "schema") return fail("first line must be the schema record");
@@ -135,25 +144,24 @@ bool read_stream(const std::string& path, Stream* s) {
       if (s->schema != "radiomc.snap/v1" &&
           s->schema != "radiomc.health/v1")
         return fail("unrecognized stream schema '" + s->schema + "'");
-      s->every_slots = static_cast<std::uint64_t>(v.at("every").as_int());
-      s->window_phases = static_cast<std::uint64_t>(v.at("window").as_int());
-      s->warmup_phases = static_cast<std::uint64_t>(v.at("warmup").as_int());
+      s->every_slots = count("every");
+      s->window_phases = count("window");
+      s->warmup_phases = count("warmup");
       s->rules = v.at("rules").as_string();
-      continue;
-    }
-    if (s->has_end) return fail("event after the end footer");
-    if (ev == "snap") {
+    } else if (s->has_end) {
+      return fail("event after the end footer");
+    } else if (ev == "snap") {
       ++s->snaps;
-      s->last_slot = static_cast<std::uint64_t>(v.at("slot").as_int());
+      s->last_slot = count("slot");
     } else if (ev == "window") {
       ++s->windows;
-      s->last_phase = static_cast<std::uint64_t>(v.at("phase").as_int());
+      s->last_phase = count("phase");
     } else if (ev == "alert") {
       Alert a;
       a.rule = v.at("rule").as_string();
       a.trip = v.at("state").as_string() == "trip";
-      a.window = static_cast<std::uint64_t>(v.at("n").as_int());
-      a.phase = static_cast<std::uint64_t>(v.at("phase").as_int());
+      a.window = count("n");
+      a.phase = count("phase");
       a.value = v.at("value").as_double();
       a.limit = v.at("limit").as_double();
       a.detail = v.at("detail").as_string();
@@ -165,20 +173,21 @@ bool read_stream(const std::string& path, Stream* s) {
     } else if (ev == "end") {
       s->has_end = true;
       s->clean = v.has("clean") ? v.at("clean").as_bool(true) : true;
-      s->dropped = static_cast<std::uint64_t>(v.at("dropped").as_int());
-      s->end_snapshots =
-          static_cast<std::uint64_t>(v.at("snapshots").as_int());
-      s->end_windows = static_cast<std::uint64_t>(v.at("windows").as_int());
-      s->end_trips = static_cast<std::uint64_t>(v.at("trips").as_int());
-      s->end_clears = static_cast<std::uint64_t>(v.at("clears").as_int());
-      s->end_active = static_cast<std::uint64_t>(v.at("active").as_int());
-      s->end_slot = static_cast<std::uint64_t>(v.at("slot").as_int());
-      s->end_phase = static_cast<std::uint64_t>(v.at("phase").as_int());
+      s->dropped = count("dropped");
+      s->end_snapshots = count("snapshots");
+      s->end_windows = count("windows");
+      s->end_trips = count("trips");
+      s->end_clears = count("clears");
+      s->end_active = count("active");
+      s->end_slot = count("slot");
+      s->end_phase = count("phase");
     } else if (ev == "schema") {
       return fail("duplicate schema record");
     } else {
       return fail("unknown event '" + ev + "'");
     }
+    if (!bad_key.empty())
+      return fail("key \"" + bad_key + "\" is not an unsigned integer");
   }
   if (line_no == 0) {
     std::fprintf(stderr, "%s: empty stream\n", path.c_str());
