@@ -29,6 +29,7 @@
 #include "graph/generators.h"
 #include "protocols/collection.h"
 #include "protocols/decay.h"
+#include "protocols/setup.h"
 #include "protocols/tree.h"
 #include "queueing/models.h"
 #include "queueing/tandem.h"
@@ -322,6 +323,21 @@ int run(int argc, char** argv) {
                    const auto out = run_collection(
                        g, tree, init, CollectionConfig::for_graph(g),
                        rng.next());
+                   keep(out);
+                 }
+               });
+  }
+  {
+    // The full §2 setup (election, BFS + verification, both DFS passes,
+    // final verification, completion flood) end to end. Most of its
+    // schedule is idle epochs the stations sleep through; polling every
+    // station in every slot again would cost about 10x here.
+    const Graph g = gen::grid(16, 16);
+    Rng rng(7);
+    micro_case("setup_full_run", 256, min_time_ms, &micro, &json,
+               [&](std::uint64_t batch) {
+                 for (std::uint64_t i = 0; i < batch; ++i) {
+                   const auto out = run_setup(g, rng.next());
                    keep(out);
                  }
                });

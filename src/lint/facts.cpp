@@ -225,7 +225,7 @@ std::string receiver_chain(const std::vector<Token>& toks, std::size_t sep) {
 /// final method is in this set counts as a *write* to the head member.
 bool is_mutating_method(std::string_view m) {
   return m == "begin_slot" || m == "end_slot" || m == "wake" ||
-         m == "set_autosleep" || m == "clear" || m == "push_back" ||
+         m == "wake_at" || m == "set_autosleep" || m == "clear" || m == "push_back" ||
          m == "emplace_back" || m == "pop_back" || m == "assign" ||
          m == "resize" || m == "reset" || m == "insert" || m == "erase" ||
          m == "next" || m == "next_below" || m == "bernoulli" ||

@@ -187,7 +187,7 @@ namespace {
 bool is_slot_loop_function(const std::string& fn) {
   return fn == "RadioNetwork::step" || fn == "ActiveSet::begin_slot" ||
          fn == "ActiveSet::end_slot" || fn == "ActiveSet::wake" ||
-         fn == "ActiveSet::set_autosleep";
+         fn == "ActiveSet::wake_at" || fn == "ActiveSet::set_autosleep";
 }
 
 struct MemberClass {
@@ -307,6 +307,18 @@ const std::map<std::string_view, MemberClass>& active_set_table() {
         "per-node opt-in flag; only the owning node's station writes it"}},
       {"any_autosleep_",
        {"barrier-mergeable", "monotone OR over autosleep_"}},
+      {"timers_",
+       {"barrier-mergeable",
+        "timed-wake min-heap; per-shard arms union at the barrier, and due "
+        "timers only feed pending_, whose admission sort restores order"}},
+      {"last_armed_",
+       {"barrier-mergeable",
+        "per-node repeat-arm filter; only the owning node's station writes "
+        "it, and a miss only costs a duplicate heap entry"}},
+      {"next_slot_",
+       {"barrier-mergeable",
+        "slot clock; set once in begin_slot before any shard polls, so "
+        "every shard reads the same value"}},
   };
   return t;
 }

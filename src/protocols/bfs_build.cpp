@@ -29,6 +29,20 @@ void BfsBuildStation::reset() {
   decay_.stop();
 }
 
+SlotTime BfsBuildStation::next_duty(SlotTime t) const noexcept {
+  if (level_ == kNoLevel) return kNever;
+  const std::uint64_t stage_slots =
+      static_cast<std::uint64_t>(cfg_.decay_len) * cfg_.announce_phases;
+  const SlotTime stage_begin = level_ * stage_slots;
+  const SlotTime stage_end = stage_begin + stage_slots;
+  if (t < stage_begin) return stage_begin;
+  if (t >= stage_end) return kNever;
+  const std::uint64_t phase = t / cfg_.decay_len;
+  if (phase != attempt_phase_ || decay_.wants_transmit()) return t;
+  const SlotTime next = (phase + 1) * cfg_.decay_len;
+  return next < stage_end ? next : kNever;
+}
+
 std::optional<Message> BfsBuildStation::poll(SlotTime t) {
   if (level_ == kNoLevel || stage_of(t) != level_) return std::nullopt;
   const std::uint64_t phase = t / cfg_.decay_len;

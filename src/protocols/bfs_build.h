@@ -47,6 +47,14 @@ class BfsBuildStation final : public SubStation {
   void deliver(SlotTime t, const Message& m) override;
   void tick(SlotTime t) override;
 
+  /// The earliest slot >= t at which `poll` may transmit or change state,
+  /// in this station's own time; kNever if none. Until a delivery or
+  /// `make_root` changes the state, every poll before it is a pure no-op:
+  /// an unjoined node, or one outside its own stage `level()`, returns at
+  /// once, and `poll` draws no randomness (Decay's coin is flipped in
+  /// `tick`, and only after a real transmission).
+  SlotTime next_duty(SlotTime t) const noexcept;
+
   bool joined() const noexcept { return level_ != kNoLevel; }
   std::uint32_t level() const noexcept { return level_; }
   NodeId parent() const noexcept { return parent_; }

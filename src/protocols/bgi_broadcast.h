@@ -32,8 +32,8 @@ class FloodStation final : public SubStation {
   /// the message front's delivery wakes them; informed stations re-wake
   /// every poll (the flood restarts Decay each phase, so they always have
   /// a future duty). Byte-identical to always-active either way; only
-  /// EngineStats::station_polls differs. Embedded uses (setup) never
-  /// attach, so the flag is inert there.
+  /// EngineStats::station_polls differs. The setup station forwards its
+  /// Waker to its completion flood, so the promise holds there too.
   explicit FloodStation(std::uint32_t decay_len, Rng rng,
                         bool autosleep = true);
 

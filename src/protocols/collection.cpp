@@ -79,11 +79,11 @@ std::optional<Message> CollectionStation::poll(SlotTime t) {
   // Autosleep duty check: stay scheduled while there is anything left to
   // send (a buffered message mid-drain or a pending ack), even in slots
   // where the phase clock or the Decay coin keeps us silent. With neither,
-  // this poll is a pure no-op and the engine may deschedule us until
-  // deliver/inject wakes the station.
-  if (waker_ != nullptr && (ack_to_send_.has_value() ||
-                            (!is_root_ && !buffer_.empty())))
-    waker_->wake();
+  // this poll is a pure no-op — return before decoding the slot — and the
+  // engine may deschedule us until deliver/inject wakes the station.
+  if (!ack_to_send_.has_value() && (is_root_ || buffer_.empty()))
+    return std::nullopt;
+  if (waker_ != nullptr) waker_->wake();
   const PhaseClock::SlotInfo info = clock_.decode(t);
 
   if (info.is_ack) {

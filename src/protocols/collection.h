@@ -58,8 +58,9 @@ struct CollectionConfig : Instruments {
   /// consumes no randomness (DecayProcess::wants_transmit is const; the
   /// coin is flipped only after an actual transmission) — proven A/B by
   /// tests/engine_diff_test.cpp. Only EngineStats::station_polls differs.
-  /// Takes effect only where the station is engine-attached directly (via
-  /// SingleStation); embedded uses (setup, channel mux) stay always-active.
+  /// Takes effect only where a host forwards the station's on_attach: a
+  /// SingleStation, a coordinated ChannelMuxStation, or the setup station,
+  /// which shares its own Waker with its verification collection.
   bool autosleep = true;
 
   /// Progress watchdog: when > 0 and the root has received nothing for

@@ -36,13 +36,31 @@ void MaxFloodStation::reset() {
   decay_.stop();
 }
 
-std::optional<Message> MaxFloodStation::poll(SlotTime t) {
-  const std::uint64_t phase = t / cfg_.decay_len;
+bool MaxFloodStation::advertises(std::uint64_t phase) const noexcept {
   // Heartbeats are desynchronized by node id: a frontier node's periodic
   // retransmission mostly meets silent neighbors instead of the whole
   // neighborhood heartbeating at once.
-  const bool heartbeat = (phase % cfg_.heartbeat) == (me_ % cfg_.heartbeat);
-  if (phase > fresh_until_ && !heartbeat) return std::nullopt;
+  return phase <= fresh_until_ ||
+         (phase % cfg_.heartbeat) == (me_ % cfg_.heartbeat);
+}
+
+SlotTime MaxFloodStation::next_duty(SlotTime t) const noexcept {
+  const std::uint64_t phase = t / cfg_.decay_len;
+  if (phase == attempt_phase_ ? decay_.wants_transmit() : advertises(phase))
+    return t;
+  // The next phase that starts a Decay invocation: a fresh one, else the
+  // node's next heartbeat phase.
+  std::uint64_t next = phase + 1;
+  if (next > fresh_until_) {
+    const std::uint64_t hb = cfg_.heartbeat;
+    next += (me_ % hb + hb - next % hb) % hb;
+  }
+  return next * cfg_.decay_len;
+}
+
+std::optional<Message> MaxFloodStation::poll(SlotTime t) {
+  const std::uint64_t phase = t / cfg_.decay_len;
+  if (!advertises(phase)) return std::nullopt;
   if (phase != attempt_phase_) {
     attempt_phase_ = phase;
     decay_.start();

@@ -49,6 +49,13 @@ class MaxFloodStation final : public SubStation {
   void deliver(SlotTime t, const Message& m) override;
   void tick(SlotTime t) override;
 
+  /// The earliest slot >= t at which `poll` may transmit or change state,
+  /// in this station's own time; kNever if none. Until a delivery changes
+  /// the state, every poll before it is a pure no-op: `poll` draws no
+  /// randomness (Decay's coin is flipped in `tick`, and only after a real
+  /// transmission), and outside an advertising phase it returns at once.
+  SlotTime next_duty(SlotTime t) const noexcept;
+
   /// The best campaign value heard so far (== the node id in id mode).
   std::uint64_t best() const noexcept { return best_; }
   bool believes_leader() const noexcept { return best_ == own_value_; }
@@ -58,6 +65,8 @@ class MaxFloodStation final : public SubStation {
 
  private:
   std::uint64_t draw_value();
+  /// True iff `phase` starts a Decay invocation (fresh or heartbeat).
+  bool advertises(std::uint64_t phase) const noexcept;
 
   NodeId me_;
   LeaderConfig cfg_;

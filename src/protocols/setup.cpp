@@ -62,6 +62,30 @@ class SetupStation final : public Station {
     start_attempt();
   }
 
+  // Autosleep. Between the slots where it has work the station is a pure
+  // no-op, so the engine may skip it:
+  //   * every epoch boundary action (become_root, begin_dfs1/2,
+  //     inject_final_report, the G seed, the attempt rollover) runs on the
+  //     boundary's exact slot because the next boundary is always armed as
+  //     a timer (on_slot_end);
+  //   * the election and the BFS construction transmit only from phase
+  //     starts they can name in advance (next_duty), also armed as timers;
+  //     their polls draw no randomness, and Decay's coin is flipped in
+  //     tick only after a real transmission, which retains membership;
+  //   * everything else is driven by receptions — a token for the DFS
+  //     stations, a better campaign value, a BFS announcement — so every
+  //     reception wakes the station;
+  //   * the verification collection and the completion flood keep their
+  //     own Waker promise (duty-wakes while they hold work) on the shared
+  //     handle.
+  // tests/setup_pin_test.cpp pins the always-polled outcomes exactly.
+  void on_attach(Waker& w) override {
+    waker_ = &w;
+    w.set_autosleep(true);
+    coll_.on_attach(w);
+    flood_g_.on_attach(w);
+  }
+
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     // Resync to the globally known schedule. A while-loop, not an equality
     // test: a station crashed across an attempt boundary (fault injection)
@@ -84,7 +108,6 @@ class SetupStation final : public Station {
     } else if (r < d_start()) {
       if (r == b_start() && le_.believes_leader()) become_root();
       tx[0] = bfs_.poll(r - b_start());
-      maybe_join();
     } else if (r < e_start()) {
       if (r == d_start()) begin_dfs1();
       tx[0] = dfs1_.poll(r);
@@ -107,6 +130,7 @@ class SetupStation final : public Station {
   }
 
   void on_receive(SlotTime t, ChannelId ch, const Message& m) override {
+    if (waker_ != nullptr) waker_->wake();
     const SlotTime r = t - attempt_start_;
     if (ch == 1) {
       if (r >= b_start()) coll_.deliver(r - b_start(), m);
@@ -136,6 +160,7 @@ class SetupStation final : public Station {
       flood_g_.tick(r - g_start());
     }
     if (r >= b_start() && coll_bound_) coll_.tick(r - b_start());
+    if (waker_ != nullptr) waker_->wake_at(attempt_start_ + next_duty(r + 1));
   }
 
   // Driver-side inspection.
@@ -191,6 +216,27 @@ class SetupStation final : public Station {
   SlotTime f_start() const noexcept { return e_start() + sched_.dfs2; }
   SlotTime g_start() const noexcept { return f_start() + sched_.fv; }
 
+  /// The first attempt-relative slot >= r at which this station must be
+  /// polled even if it hears nothing: the next epoch boundary, or sooner
+  /// the next slot at which the election or the BFS construction may act.
+  SlotTime next_duty(SlotTime r) const noexcept {
+    SlotTime next = sched_.attempt_length();
+    for (const SlotTime b :
+         {b_start(), d_start(), e_start(), f_start(), g_start()}) {
+      if (b >= r) {
+        next = b;
+        break;
+      }
+    }
+    if (r < b_start()) {
+      next = std::min(next, le_.next_duty(r));
+    } else if (r < d_start()) {
+      const SlotTime bfs = bfs_.next_duty(r - b_start());
+      if (bfs < next - b_start()) next = b_start() + bfs;
+    }
+    return next;
+  }
+
   void start_attempt() {
     sched_ = setup_schedule(n_, decay_len_, tuning_, attempt_);
     le_.reset();
@@ -201,7 +247,6 @@ class SetupStation final : public Station {
     coll_.reset(rng_.split(rng_tags::kSetupCollRetryBase + attempt_));
     coll_bound_ = false;
     is_root_ = false;
-    reported_join_ = false;
     reported_final_ = false;
     reporters_b_.clear();
     reporters_f_.clear();
@@ -216,7 +261,8 @@ class SetupStation final : public Station {
   }
 
   /// Binds the collection half and emits the §2 join report as soon as the
-  /// BFS construction assigned this node a position.
+  /// BFS construction assigned this node a position (only a reception can
+  /// do that, so on_receive is the one caller).
   void maybe_join() {
     if (is_root_ || coll_bound_ || !bfs_.joined()) return;
     coll_.set_local(bfs_.parent(), bfs_.level(), /*is_root=*/false);
@@ -227,7 +273,6 @@ class SetupStation final : public Station {
     m.seq = 0;
     m.aux = bfs_.level();
     coll_.inject(m);
-    reported_join_ = true;
   }
 
   void begin_dfs1() {
@@ -276,10 +321,10 @@ class SetupStation final : public Station {
   FloodStation flood_g_;
   GraphDfsStation dfs1_;
   TreeDfsStation dfs2_;
+  Waker* waker_ = nullptr;  ///< set by on_attach
 
   bool coll_bound_ = false;
   bool is_root_ = false;
-  bool reported_join_ = false;
   bool reported_final_ = false;
   std::set<NodeId> reporters_b_;
   std::set<NodeId> reporters_f_;
@@ -398,10 +443,12 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
       out.labels.number[v] = out.routing[v].number;
       out.labels.max_desc[v] = out.routing[v].max_desc;
     }
+    out.engine_polls = net.engine_stats().station_polls;
     publish_totals(out);
     return out;
   }
   out.slots = net.now();
+  out.engine_polls = net.engine_stats().station_polls;
   out.status = RunStatus::kDegraded;
   publish_totals(out);
   return out;

@@ -108,6 +108,10 @@ struct SetupOutcome {
   BfsTree tree;
   DfsLabels labels;
   std::vector<RoutingInfo> routing;
+  /// Engine on_slot invocations (EngineStats::station_polls): scheduling
+  /// economy, not radio physics. Setup stations sleep between the slots
+  /// where they have work, so this is far below n * slots.
+  std::uint64_t engine_polls = 0;
 };
 
 /// Runs the complete setup on graph `g`. Retries attempts (with doubled

@@ -16,6 +16,9 @@ void ActiveSet::reset(NodeId n) {
   pending_.clear();
   any_autosleep_ = false;
   wake_events_ = 0;
+  timers_.clear();
+  last_armed_.assign(n, kNever);
+  next_slot_ = 0;
 }
 
 void ActiveSet::wake(NodeId v) {
@@ -30,6 +33,20 @@ void ActiveSet::wake(NodeId v) {
   }
 }
 
+void ActiveSet::wake_at(NodeId v, SlotTime slot) {
+  if (slot <= next_slot_) {
+    wake(v);
+    return;
+  }
+  // A station that re-arms on every poll mostly repeats its last target
+  // (the same epoch boundary, poll after poll); one heap entry serves all.
+  // A fired target is never repeated: it is in the past by then.
+  if (last_armed_[v] == slot) return;
+  last_armed_[v] = slot;
+  timers_.push_back({slot, v});
+  std::push_heap(timers_.begin(), timers_.end());
+}
+
 void ActiveSet::set_autosleep(NodeId v, bool on) {
   autosleep_[v] = on ? 1 : 0;
   if (on) {
@@ -41,7 +58,19 @@ void ActiveSet::set_autosleep(NodeId v, bool on) {
   }
 }
 
-void ActiveSet::begin_slot() {
+void ActiveSet::begin_slot(SlotTime now) {
+  next_slot_ = now + 1;
+  // Due timers join the pending wakes: a timer is a wake raised just
+  // before its slot, admitted by the same rule.
+  while (!timers_.empty() && timers_.front().slot <= now) {
+    const NodeId v = timers_.front().node;
+    std::pop_heap(timers_.begin(), timers_.end());
+    timers_.pop_back();
+    if (!pending_flag_[v]) {
+      pending_flag_[v] = 1;
+      pending_.push_back(v);
+    }
+  }
   if (pending_.empty()) return;
   bool joined = false;
   for (const NodeId v : pending_) {
@@ -87,6 +116,10 @@ void ActiveSet::end_slot(const std::uint8_t* keep) {
 
 void Waker::wake() noexcept {
   if (set_ != nullptr) set_->wake(node_);
+}
+
+void Waker::wake_at(SlotTime slot) noexcept {
+  if (set_ != nullptr) set_->wake_at(node_, slot);
 }
 
 void Waker::set_autosleep(bool on) noexcept {

@@ -9,10 +9,15 @@
 // legacy full-scan engine used, which is what keeps transmit lists, trace
 // streams and capture-RNG draws byte-identical to the pre-rewrite engine.
 //
-// Cost model: `begin_slot` is O(wakes since last slot), `end_slot` is O(1)
-// when no station has autosleep enabled and no wake was raised (the
-// all-legacy fast path), O(active + wakes) otherwise. A sort is paid only
-// on slots where a sleeping station actually joined.
+// Timed wakes (`Waker::wake_at`) sit in a min-heap of (slot, node) that
+// `begin_slot` drains into the same admission path as `wake()`; a due timer
+// is indistinguishable from a wake raised just before its slot.
+//
+// Cost model: `begin_slot` is O(wakes since last slot + due timers *
+// log(timers)), `end_slot` is O(1) when no station has autosleep enabled
+// and no wake was raised (the all-legacy fast path), O(active + wakes)
+// otherwise. A sort is paid only on slots where a sleeping station
+// actually joined.
 //
 // All state is plain data owned by one engine; nothing here is
 // thread-safe (one RadioNetwork = one trial = one thread, as everywhere
@@ -46,11 +51,18 @@ class ActiveSet {
   /// Raises a wake for `v`: guarantees membership in the next slot and
   /// counts as "woken this slot" for the retention rule. Idempotent.
   void wake(NodeId v);
+  /// Arms a timer: `v` is polled in slot `slot`. A slot that is not in the
+  /// future (<= the next slot to begin) is a plain `wake(v)`. Timers
+  /// accumulate — re-arming never cancels an earlier one, which simply
+  /// fires as one extra idle poll; an exact repeat of the node's last
+  /// armed slot is dropped.
+  void wake_at(NodeId v, SlotTime slot);
   void set_autosleep(NodeId v, bool on);
 
-  /// Admits stations woken since the previous slot (sorting only if a
-  /// non-member actually joined). Call at the top of every slot.
-  void begin_slot();
+  /// Admits stations woken since the previous slot and those whose timers
+  /// fall due at `now` (sorting only if a non-member actually joined).
+  /// Call at the top of every slot, with strictly increasing `now`.
+  void begin_slot(SlotTime now);
 
   /// Applies the retention rule after all of a slot's callbacks ran:
   /// an autosleep member leaves unless `keep[v]` is set (it returned a
@@ -80,6 +92,16 @@ class ActiveSet {
   std::vector<NodeId> pending_;           // nodes with pending_flag_ set
   bool any_autosleep_ = false;
   std::uint64_t wake_events_ = 0;
+
+  struct Timer {
+    SlotTime slot;
+    NodeId node;
+    // Inverted so std::push_heap/pop_heap keep the earliest slot on top.
+    bool operator<(const Timer& o) const noexcept { return slot > o.slot; }
+  };
+  std::vector<Timer> timers_;             // min-heap on slot
+  std::vector<SlotTime> last_armed_;      // latest armed slot, by node
+  SlotTime next_slot_ = 0;                // the slot the next begin_slot opens
 };
 
 }  // namespace radiomc

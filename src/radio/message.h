@@ -15,6 +15,8 @@
 namespace radiomc {
 
 using SlotTime = std::uint64_t;
+/// A slot that never comes: "no timer armed", "no future duty".
+inline constexpr SlotTime kNever = ~SlotTime{0};
 using ChannelId = std::uint32_t;
 
 /// Destination value meaning "all nodes" (broadcast payloads).

@@ -39,9 +39,10 @@ class Station {
   /// slot. `w` stays valid for the station's attached lifetime. The
   /// default ignores it, leaving the station permanently active (the
   /// legacy contract — always correct). Stations whose idle slots are
-  /// provably side-effect-free may keep the handle, `w.set_autosleep(true)`
-  /// and `w.wake()` on the events that make them want to transmit; see
-  /// radio/waker.h for the exact promise this makes to the engine.
+  /// provably side-effect-free may keep the handle, `w.set_autosleep(true)`,
+  /// `w.wake()` on the events that make them want to transmit and
+  /// `w.wake_at(s)` for duties due at a known slot; see radio/waker.h for
+  /// the exact promise this makes to the engine.
   virtual void on_attach(Waker& /*w*/) {}
 
   /// Decide this slot's action: `tx` has one entry per channel; set

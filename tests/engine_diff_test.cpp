@@ -22,8 +22,12 @@
 //     on (absolute slot, receptions), honoring the waker promise that
 //     skipped idle polls are unobservable;
 //   * PeriodicBeacon (autosleep, self-waking): transmits every k-th slot
-//     and re-arms its own wake from on_slot, proving a station can sleep
-//     between self-scheduled duties.
+//     and re-arms its own wake from on_slot, exercising retention by
+//     wake() rather than by transmitting;
+//   * TimerBeacon (autosleep, timed wakes): transmits every k-th slot and
+//     k' slots after each reception, sleeping in between on `wake_at`
+//     timers — proving a station can bridge a multi-slot gap, and that a
+//     timer falling due while the station is crashed admits it frozen.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +35,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -166,6 +171,52 @@ class PeriodicBeacon : public Station {
   Waker* waker_ = nullptr;
 };
 
+/// Autosleep station that sleeps between self-scheduled duties on timed
+/// wakes: a beacon every `period`-th slot (offset by id) and a reply
+/// `1 + (origin + self) % 6` slots after each reception. Both depend only
+/// on absolute time and receptions, so under the reference engine (no
+/// wakers, polled every slot) it behaves identically.
+class TimerBeacon : public Station {
+ public:
+  TimerBeacon(NodeId self, SlotTime period) : self_(self), period_(period) {}
+
+  void on_attach(Waker& w) override {
+    waker_ = &w;
+    w.set_autosleep(true);
+  }
+  void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    const bool beacon = t % period_ == self_ % period_;
+    const bool reply = replies_.erase(t) != 0;
+    if (beacon || reply) {
+      Message m;
+      m.kind = MsgKind::kBcastData;
+      m.origin = self_;
+      m.seq = static_cast<std::uint32_t>(t);
+      m.payload = reply ? 1 : 0;
+      tx[0] = m;
+    }
+    if (waker_ != nullptr) {
+      const SlotTime from = t + 1;
+      waker_->wake_at(from + (self_ % period_ + period_ - from % period_) %
+                                 period_);
+    }
+  }
+  void on_receive(SlotTime t, ChannelId ch, const Message& m) override {
+    received.emplace_back(t, ch, m.origin, m.seq, m.payload, m.sender);
+    const SlotTime at = t + 1 + (m.origin + self_) % 6;
+    replies_.insert(at);
+    if (waker_ != nullptr) waker_->wake_at(at);
+  }
+
+  std::vector<Delivery> received;
+
+ private:
+  NodeId self_;
+  SlotTime period_;
+  std::set<SlotTime> replies_;
+  Waker* waker_ = nullptr;
+};
+
 struct Cell {
   std::string name;
   Graph graph;
@@ -203,6 +254,7 @@ struct Population {
   std::deque<RandomChatter> chatters;
   std::deque<SleepyResponder> sleepers;
   std::deque<PeriodicBeacon> beacons;
+  std::deque<TimerBeacon> timers;
   std::vector<Station*> stations;
   std::vector<std::vector<Delivery>*> logs;
 
@@ -210,7 +262,7 @@ struct Population {
     Rng master(cell.seed);
     const NodeId n = cell.graph.num_nodes();
     for (NodeId v = 0; v < n; ++v) {
-      switch (v % 3) {
+      switch (v % 4) {
         case 0:
           chatters.emplace_back(v, cell.channels, 0.15, master.split(v));
           stations.push_back(&chatters.back());
@@ -221,10 +273,15 @@ struct Population {
           stations.push_back(&sleepers.back());
           logs.push_back(&sleepers.back().received);
           break;
-        default:
+        case 2:
           beacons.emplace_back(v, 5 + v % 7);
           stations.push_back(&beacons.back());
           logs.push_back(&beacons.back().received);
+          break;
+        default:
+          timers.emplace_back(v, 9 + v % 13);
+          stations.push_back(&timers.back());
+          logs.push_back(&timers.back().received);
           break;
       }
     }

@@ -17,9 +17,11 @@
 //   * crashed stations never transmit and never receive, checked against
 //     the fault schedule's per-slot alive view;
 //   * active-set membership is exactly "transmitted last slot, or woken,
-//     or not autosleeping" — predicted by an independent model in the
-//     test and compared against both the stations' observed polls and
-//     RadioNetwork::station_active.
+//     or a timed wake fell due, or not autosleeping" — predicted by an
+//     independent model in the test and compared against both the
+//     stations' observed polls and RadioNetwork::station_active; the
+//     TimedWake rows pin each timer case (past slots, duplicates,
+//     re-arms, crashes, opt-out) one by one.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,7 @@
 #include "faults/fault_plan.h"
 #include "faults/fault_schedule.h"
 #include "graph/generators.h"
+#include "radio/active_set.h"
 #include "radio/network.h"
 #include "support/rng.h"
 
@@ -212,15 +215,19 @@ TEST(EngineInvariants, CrashedStationsNeverTransmitOrReceive) {
   }
 }
 
-/// Autosleep station with a scripted behavior: transmits at slots in
-/// `tx_slots`, calls wake() at slots in `wake_slots` (both tested only when
-/// actually polled). Records every poll.
+/// What a Scripted station does when polled at a slot (tested only when it
+/// actually is polled): transmit, call wake(), arm timers, opt out of or
+/// back into autosleep.
+struct Script {
+  std::set<SlotTime> tx, wake, opt_out, opt_in;
+  std::map<SlotTime, std::vector<SlotTime>> timers;  // poll slot -> targets
+};
+
+/// Autosleep station with a scripted behavior. Records every poll.
 class Scripted : public Station {
  public:
-  Scripted(NodeId self, std::set<SlotTime> tx_slots,
-           std::set<SlotTime> wake_slots)
-      : self_(self), tx_slots_(std::move(tx_slots)),
-        wake_slots_(std::move(wake_slots)) {}
+  Scripted(NodeId self, Script script)
+      : self_(self), script_(std::move(script)) {}
 
   void on_attach(Waker& w) override {
     waker_ = &w;
@@ -228,13 +235,18 @@ class Scripted : public Station {
   }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     polls.push_back(t);
-    if (tx_slots_.count(t) != 0) {
+    if (script_.tx.count(t) != 0) {
       Message m;
       m.origin = self_;
       m.seq = static_cast<std::uint32_t>(t);
       tx[0] = m;
     }
-    if (wake_slots_.count(t) != 0) waker_->wake();
+    if (script_.wake.count(t) != 0) waker_->wake();
+    const auto armed = script_.timers.find(t);
+    if (armed != script_.timers.end())
+      for (const SlotTime at : armed->second) waker_->wake_at(at);
+    if (script_.opt_out.count(t) != 0) waker_->set_autosleep(false);
+    if (script_.opt_in.count(t) != 0) waker_->set_autosleep(true);
   }
   void on_receive(SlotTime, ChannelId, const Message&) override {}
 
@@ -242,7 +254,7 @@ class Scripted : public Station {
 
  private:
   NodeId self_;
-  std::set<SlotTime> tx_slots_, wake_slots_;
+  Script script_;
   Waker* waker_ = nullptr;
 };
 
@@ -250,25 +262,30 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
   // Randomized scripts on a path graph; the test predicts the poll
   // schedule of every station with an independent model of the contract:
   //   polled at 0 (everyone starts active); polled at t+1 iff polled at t
-  //   and (transmitted at t or woke at t), or an external wake arrived
-  //   during slot t.
+  //   and (transmitted at t, woke at t, or armed a timer for a slot
+  //   <= t+1 at t), or an external wake arrived during slot t, or a timer
+  //   armed earlier targets t+1.
   Rng rng(0x5C21);
   const SlotTime kSlots = 120;
   for (int round = 0; round < 10; ++round) {
     const Graph g = gen::path(24);
     std::deque<Scripted> stations;
     std::vector<Station*> ptrs;
-    std::vector<std::set<SlotTime>> tx_of(g.num_nodes()), wake_of(
-                                                              g.num_nodes());
+    std::vector<Script> script_of(g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      std::set<SlotTime> tx, wake;
+      Script sc;
       for (SlotTime t = 0; t < kSlots; ++t) {
-        if (rng.bernoulli(0.25)) tx.insert(t);
-        if (rng.bernoulli(0.15)) wake.insert(t);
+        if (rng.bernoulli(0.25)) sc.tx.insert(t);
+        if (rng.bernoulli(0.15)) sc.wake.insert(t);
+        // Timers from two slots in the past to a dozen ahead, sometimes
+        // two at once (duplicates included).
+        while (rng.bernoulli(0.2)) {
+          const SlotTime d = rng.next_below(15);
+          sc.timers[t].push_back(t + d >= 2 ? t + d - 2 : 0);
+        }
       }
-      tx_of[v] = tx;
-      wake_of[v] = wake;
-      stations.emplace_back(v, tx, wake);
+      script_of[v] = sc;
+      stations.emplace_back(v, sc);
       ptrs.push_back(&stations.back());
     }
     // A few driver-level wakes, exercising wake_station between slots.
@@ -283,27 +300,43 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
     net.attach(ptrs);
 
     // Independent prediction: polled at t iff active at t; retained after
-    // slot t iff it transmitted or self-woke at t; active at t+1 =
-    // retained union driver wakes delivered between t and t+1. (A pending
-    // driver wake is admitted at the next begin_slot, so station_active
-    // right after step(t) reflects `retained`, not yet the wake.)
+    // slot t iff it transmitted, self-woke, or armed a timer that is not
+    // in the future at t; active at t+1 = retained union driver wakes
+    // delivered between t and t+1 union timers due at t+1. (Pending
+    // driver wakes and due timers are admitted at the next begin_slot, so
+    // station_active right after step(t) reflects `retained` only.)
     std::vector<std::vector<SlotTime>> expected(g.num_nodes());
     std::vector<std::vector<std::uint8_t>> retained_at(kSlots);
     {
       std::vector<std::uint8_t> active(g.num_nodes(), 1);
+      std::vector<std::set<SlotTime>> due(g.num_nodes());
       for (SlotTime t = 0; t < kSlots; ++t) {
         retained_at[t].assign(g.num_nodes(), 0);
         std::vector<std::uint8_t> next(g.num_nodes(), 0);
         for (NodeId v = 0; v < g.num_nodes(); ++v) {
           if (!active[v]) continue;
           expected[v].push_back(t);
-          if (tx_of[v].count(t) != 0 || wake_of[v].count(t) != 0) {
+          const Script& sc = script_of[v];
+          bool keep = sc.tx.count(t) != 0 || sc.wake.count(t) != 0;
+          const auto armed = sc.timers.find(t);
+          if (armed != sc.timers.end()) {
+            for (const SlotTime at : armed->second) {
+              if (at <= t + 1) {
+                keep = true;
+              } else {
+                due[v].insert(at);
+              }
+            }
+          }
+          if (keep) {
             retained_at[t][v] = 1;
             next[v] = 1;
           }
         }
         for (const auto& [wt, wv] : driver_wakes)
           if (wt == t) next[wv] = 1;  // arrives between slot t and t+1
+        for (NodeId v = 0; v < g.num_nodes(); ++v)
+          if (due[v].count(t + 1) != 0) next[v] = 1;
         active = std::move(next);
       }
     }
@@ -332,6 +365,151 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
     EXPECT_LT(total_polls,
               static_cast<std::uint64_t>(g.num_nodes()) * kSlots);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Timed wakes (Waker::wake_at), case by case.
+// ---------------------------------------------------------------------------
+
+/// Drives an ActiveSet by hand: every station autosleeps and never
+/// transmits, so membership is exactly what wakes and timers grant.
+struct HandDriven {
+  ActiveSet set;
+  std::vector<std::uint8_t> keep;
+  SlotTime now = 0;
+
+  explicit HandDriven(NodeId n) : keep(n, 0) {
+    set.reset(n);
+    for (NodeId v = 0; v < n; ++v) set.set_autosleep(v, true);
+    slot();  // everyone starts active; after slot 0 everyone sleeps
+  }
+  /// Opens slot `now`, returns its members, and closes it.
+  std::vector<NodeId> slot() {
+    set.begin_slot(now);
+    std::vector<NodeId> members(set.active().begin(), set.active().end());
+    set.end_slot(keep.data());
+    ++now;
+    return members;
+  }
+  /// The slots in [now, until) at which `v` is a member.
+  std::vector<SlotTime> member_slots(NodeId v, SlotTime until) {
+    std::vector<SlotTime> at;
+    while (now < until) {
+      const SlotTime t = now;
+      for (const NodeId m : slot())
+        if (m == v) at.push_back(t);
+    }
+    return at;
+  }
+};
+
+TEST(TimedWake, SlotNotInTheFutureWakesForTheNextSlot) {
+  HandDriven d(3);
+  ASSERT_EQ(d.now, 1u);
+  // Between slots 0 and 1: a past slot and the next slot both mean "1".
+  d.set.wake_at(0, 0);
+  d.set.wake_at(1, 1);
+  EXPECT_EQ(d.slot(), (std::vector<NodeId>{0, 1}));
+  EXPECT_TRUE(d.slot().empty());  // one wake buys one poll
+  // During slot 3, for members polled in it: arming slot 3 or 4 retains
+  // the station for slot 4 (membership, not just a pending admission).
+  d.set.wake(1);
+  d.set.wake(2);
+  d.set.begin_slot(3);
+  ASSERT_EQ(std::vector<NodeId>(d.set.active().begin(), d.set.active().end()),
+            (std::vector<NodeId>{1, 2}));
+  d.set.wake_at(2, 3);
+  d.set.wake_at(1, 4);
+  d.set.end_slot(d.keep.data());
+  d.now = 4;
+  EXPECT_TRUE(d.set.contains(1));
+  EXPECT_TRUE(d.set.contains(2));
+  EXPECT_EQ(d.slot(), (std::vector<NodeId>{1, 2}));
+  EXPECT_TRUE(d.slot().empty());
+}
+
+TEST(TimedWake, DuplicateAndReArmedTimersAllFire) {
+  HandDriven d(3);
+  d.set.wake_at(0, 10);
+  d.set.wake_at(0, 10);  // duplicate: one poll
+  d.set.wake_at(1, 20);
+  d.set.wake_at(1, 15);  // earlier re-arm: the later timer still fires
+  d.set.wake_at(2, 12);
+  d.set.wake_at(2, 18);  // later re-arm: the earlier timer still fires
+  HandDriven copy = d;
+  EXPECT_EQ(d.member_slots(0, 30), (std::vector<SlotTime>{10}));
+  d = copy;
+  EXPECT_EQ(d.member_slots(1, 30), (std::vector<SlotTime>{15, 20}));
+  d = copy;
+  EXPECT_EQ(d.member_slots(2, 30), (std::vector<SlotTime>{12, 18}));
+}
+
+TEST(TimedWake, UnattachedHandleIsANoOp) {
+  // The frozen reference engine never calls on_attach, so a station's
+  // Waker there stays default-constructed; every call must be inert.
+  Waker w;
+  EXPECT_FALSE(w.attached());
+  w.wake_at(5);
+  w.wake_at(0);
+  w.wake();
+  w.set_autosleep(true);
+  EXPECT_FALSE(w.attached());
+}
+
+TEST(TimedWake, TimerDueWhileCrashedAdmitsTheStationFrozen) {
+  // Every node crashes at slot 8 and recovers at slot 16. Node 0's timer
+  // falls due while it is down: it is polled at recovery, not before.
+  // Node 1's timer fires before the crash, node 2's after recovery; both
+  // are polled exactly at their timers.
+  const Graph g = gen::path(3);
+  std::deque<Scripted> stations;
+  std::vector<Station*> ptrs;
+  const std::vector<SlotTime> target = {12, 6, 20};
+  for (NodeId v = 0; v < 3; ++v) {
+    Script sc;
+    sc.timers[0] = {target[v]};
+    stations.emplace_back(v, sc);
+    ptrs.push_back(&stations.back());
+  }
+  FaultPlan plan;
+  plan.crash_rate = 1.0;
+  plan.recover_rate = 1.0;
+  plan.epoch_slots = 8;
+  plan.window_start = 8;
+  plan.window_end = 9;
+  FaultSchedule faults(g, plan, 1);
+  RadioNetwork net(g);
+  net.set_faults(&faults);
+  net.attach(ptrs);
+  for (SlotTime t = 0; t < 30; ++t) {
+    net.step();
+    const bool down = t >= 8 && t < 16;
+    for (NodeId v = 0; v < 3; ++v)
+      ASSERT_EQ(faults.node_alive(v), !down) << "slot " << t;
+  }
+  EXPECT_EQ(stations[0].polls, (std::vector<SlotTime>{0, 16}));
+  EXPECT_EQ(stations[1].polls, (std::vector<SlotTime>{0, 6}));
+  EXPECT_EQ(stations[2].polls, (std::vector<SlotTime>{0, 20}));
+}
+
+TEST(TimedWake, OptingOutWithATimerPendingStaysPinned) {
+  // Opting out pins the station active; its pending timer then fires as a
+  // harmless wake of an active station. Opting back in lets it sleep.
+  const Graph g = gen::path(2);
+  Script sc;
+  sc.timers[0] = {10};
+  sc.opt_out = {0};
+  sc.opt_in = {15};
+  std::deque<Scripted> stations;
+  stations.emplace_back(0, sc);
+  stations.emplace_back(1, Script{});
+  RadioNetwork net(g);
+  net.attach({&stations[0], &stations[1]});
+  net.run(30);
+  std::vector<SlotTime> every;
+  for (SlotTime t = 0; t <= 15; ++t) every.push_back(t);
+  EXPECT_EQ(stations[0].polls, every);
+  EXPECT_EQ(stations[1].polls, (std::vector<SlotTime>{0}));
 }
 
 TEST(EngineInvariants, EpochStampedCellsNeverLeakAcrossSlots) {
