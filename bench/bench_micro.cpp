@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "queueing/models.h"
 #include "queueing/tandem.h"
 #include "radio/network.h"
+#include "support/parse.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
 
@@ -228,8 +230,11 @@ int run(int argc, char** argv) {
   const bench::Options opt = bench::parse_options(argc, argv);
   double min_time_ms = 100.0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-time-ms") == 0 && i + 1 < argc)
-      min_time_ms = std::strtod(argv[++i], nullptr);
+    if (std::strcmp(argv[i], "--min-time-ms") == 0 && i + 1 < argc) {
+      const std::optional<double> v = parse_f64(argv[++i]);
+      if (!v) bench::bad_flag("--min-time-ms", argv[i], "a number");
+      min_time_ms = *v;
+    }
   }
   if (min_time_ms <= 0.0) min_time_ms = 1.0;
 

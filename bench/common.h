@@ -18,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,13 +36,22 @@ struct Options {
   unsigned jobs = 1;
 };
 
+/// Reports a malformed flag value and exits 2 (usage error), before any
+/// trial starts.
+[[noreturn]] inline void bad_flag(const char* flag, const char* text,
+                                  const char* want) {
+  std::fprintf(stderr, "%s: '%s' is not %s\n", flag, text, want);
+  std::exit(2);
+}
+
 inline Options parse_options(int argc, char** argv) {
   Options o;
   o.jobs = jobs_from_env();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      const unsigned long v = std::strtoul(argv[++i], nullptr, 10);
-      o.jobs = v == 0 ? hardware_jobs() : static_cast<unsigned>(v);
+      const std::optional<unsigned> v = parse_jobs(argv[++i]);
+      if (!v) bad_flag("--jobs", argv[i], "an unsigned integer");
+      o.jobs = *v;
     }
   }
   return o;

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
+
+#include "support/parse.h"
 
 namespace radiomc::health {
 
@@ -15,12 +17,10 @@ namespace {
 }
 
 double parse_num(std::string_view tok, std::string_view clause) {
-  const std::string s(tok);
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || !std::isfinite(v))
-    bad("bad number '" + s + "' in '" + std::string(clause) + "'");
-  return v;
+  const std::optional<double> v = parse_f64(tok);
+  if (!v) bad("bad number '" + std::string(tok) + "' in '" +
+              std::string(clause) + "'");
+  return *v;
 }
 
 std::vector<std::string_view> split(std::string_view s, char sep) {

@@ -26,6 +26,11 @@ std::string_view basename_of(std::string_view path) {
   return pos == std::string_view::npos ? path : path.substr(pos + 1);
 }
 
+bool is_rng_support(std::string_view path) {
+  const std::string_view base = basename_of(path);
+  return in_dir(path, "src/support") && (base == "rng.h" || base == "rng.cpp");
+}
+
 bool is_header(std::string_view path) {
   return path.size() >= 2 && (path.substr(path.size() - 2) == ".h" ||
                               (path.size() >= 4 &&

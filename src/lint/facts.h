@@ -38,6 +38,8 @@ namespace radiomc::lint {
 bool in_dir(std::string_view path, std::string_view dir);
 std::string_view basename_of(std::string_view path);
 bool is_header(std::string_view path);
+/// support/rng.{h,cpp}: the one place raw engines and literal seeds live.
+bool is_rng_support(std::string_view path);
 
 /// Minimal JSON string escaping shared by every report writer in the
 /// linter (findings, facts, the v2 report).

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace radiomc::lint {
 
@@ -15,6 +16,25 @@ std::vector<std::string> split_ws(const std::string& line) {
   std::string word;
   while (is >> word) out.push_back(word);
   return out;
+}
+
+/// True iff one of `a`, `b` is a whole-component suffix of the other
+/// (`/repo/src/radio` and `src/radio`, or `src/radio` and `radio`).
+bool tail_match(std::string_view a, std::string_view b) {
+  if (a.size() < b.size()) std::swap(a, b);
+  return a.ends_with(b) &&
+         (a.size() == b.size() || a[a.size() - b.size() - 1] == '/');
+}
+
+/// True iff some leading run of `path`'s directories tail-matches `dir`:
+/// a linted `x/src/radio/a.cpp` by the whole directory, an include
+/// `radio/a.h` by the directory's last component.
+bool below(std::string_view path, std::string_view dir) {
+  for (std::size_t slash = path.find('/'); slash != std::string_view::npos;
+       slash = path.find('/', slash + 1)) {
+    if (slash > 0 && tail_match(path.substr(0, slash), dir)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -50,7 +70,23 @@ LayerManifest parse_layer_manifest(const std::string& text) {
       LayerDecl d;
       d.name = words[1];
       d.line = lineno;
-      d.dirs.assign(words.begin() + 2, words.end());
+      for (auto w = words.begin() + 2; w != words.end(); ++w) {
+        LayerEntry e{LayerEntry::Kind::kDir, *w};
+        const std::size_t glob = w->find_first_of("*?[");
+        if (glob != std::string::npos) {
+          if (glob + 3 != w->size() || !w->ends_with("/*.h")) {
+            m.errors.push_back(
+                {lineno, "layer '" + d.name + "': unsupported glob '" + *w +
+                             "' (the only glob is '<dir>/*.h', the headers "
+                             "of one directory)"});
+            continue;
+          }
+          e = {LayerEntry::Kind::kHeaders, w->substr(0, glob - 1)};
+        } else if (basename_of(*w).find('.', 1) != std::string_view::npos) {
+          e.kind = LayerEntry::Kind::kFile;
+        }
+        d.entries.push_back(std::move(e));
+      }
       m.layers.push_back(std::move(d));
     } else if (words[0] == "allow") {
       if (words.size() != 4 || words[2] != "->") {
@@ -90,36 +126,31 @@ LayerManifest parse_layer_manifest(const std::string& text) {
 }
 
 std::string layer_of(const LayerManifest& manifest, std::string_view path) {
-  std::string best;
-  std::size_t best_len = 0;
+  if (path.find('/') == std::string_view::npos) return {};
+  const LayerDecl* best = nullptr;
+  std::pair<LayerEntry::Kind, std::size_t> best_rank;
   for (const auto& l : manifest.layers) {
-    for (const auto& d : l.dirs) {
-      if (d.size() >= best_len && in_dir(path, d)) {
-        best = l.name;
-        best_len = d.size();
+    for (const auto& e : l.entries) {
+      bool hit = false;
+      switch (e.kind) {
+        case LayerEntry::Kind::kDir: hit = below(path, e.path); break;
+        case LayerEntry::Kind::kHeaders:
+          hit = path.ends_with(".h") &&
+                tail_match(path.substr(0, path.rfind('/')), e.path);
+          break;
+        case LayerEntry::Kind::kFile: hit = tail_match(path, e.path); break;
+      }
+      const std::pair rank{e.kind, e.path.size()};
+      if (hit && (best == nullptr || rank > best_rank)) {
+        best = &l;
+        best_rank = rank;
       }
     }
   }
-  return best;
+  return best == nullptr ? std::string() : best->name;
 }
 
 namespace {
-
-/// The layer owning an include path's first component, resolved by
-/// directory basename (`support/rng.h` → the layer whose dir ends in
-/// /support). Empty when no layer claims it (external header).
-std::string layer_of_include(const LayerManifest& manifest,
-                             std::string_view inc_path) {
-  auto slash = inc_path.find('/');
-  if (slash == std::string_view::npos) return {};
-  std::string_view comp = inc_path.substr(0, slash);
-  for (const auto& l : manifest.layers) {
-    for (const auto& d : l.dirs) {
-      if (basename_of(d) == comp) return l.name;
-    }
-  }
-  return {};
-}
 
 struct CycleFinder {
   const std::map<std::string, std::vector<std::string>>& adj;
@@ -207,7 +238,7 @@ std::vector<Finding> check_layers(const LayerManifest& manifest,
     std::string from = layer_of(manifest, f.path);
     for (const auto& inc : f.includes) {
       if (inc.angled) continue;  // system/third-party headers
-      std::string to = layer_of_include(manifest, inc.path);
+      std::string to = layer_of(manifest, inc.path);
       if (to.empty()) continue;  // not a layered header
       if (from.empty()) {
         report(f.path, inc.line,

@@ -13,13 +13,8 @@ namespace radiomc::lint {
 
 namespace {
 
-// Path helpers (in_dir / basename_of / is_header) live in lint/facts.h
-// since PR 10 so every pass shares one copy.
-
-bool is_rng_support(std::string_view path) {
-  const std::string_view base = basename_of(path);
-  return in_dir(path, "src/support") && (base == "rng.h" || base == "rng.cpp");
-}
+// Path helpers (in_dir / basename_of / is_header / is_rng_support) live in
+// lint/facts.h so every pass shares one copy.
 
 // ---------------------------------------------------------------------------
 // Waivers.
@@ -188,103 +183,17 @@ void rule_unordered_container(const LexedFile& f, std::vector<Finding>* out) {
 }
 
 // ---------------------------------------------------------------------------
-// model-purity / engine-include + analysis-offline
-//
-// These remain as sharper, message-specific checks for their zones; the
-// layer-dag analysis (lint/layers.h) covers the whole tree against the
-// declared `.lint-layers` manifest. All three consume the shared include
-// facts — no re-lex per rule.
-// ---------------------------------------------------------------------------
-
-/// The radio/ surface a protocol *header* may see. Stations are the model:
-/// they observe the channel only through messages, slot structure and the
-/// Station interfaces. Driver .cpp files may include radio/network.h to
-/// host stations on the engine — the engine is the experimental apparatus,
-/// not part of the per-node model.
-const std::set<std::string_view> kProtocolRadioAllowlist = {
-    "radio/message.h", "radio/station.h", "radio/schedule.h",
-    "radio/trace.h",
-    // The Waker handle is the station-visible half of the active-set
-    // scheduler (a station may put *itself* to sleep and wake *itself*);
-    // the engine-side container (radio/active_set.h) stays forbidden.
-    "radio/waker.h"};
-
-void rule_engine_include(const FileFacts& f, std::vector<Finding>* out) {
-  if (!in_dir(f.path, "src/protocols") || !is_header(f.path)) return;
-  for (const IncludeDirective& inc : f.includes) {
-    if (inc.angled || !inc.path.starts_with("radio/")) continue;
-    if (kProtocolRadioAllowlist.count(std::string_view(inc.path))) continue;
-    out->push_back({"engine-include", f.path, inc.line,
-                    "protocol header includes \"" + inc.path +
-                        "\": station declarations may touch the channel only "
-                        "via radio/station.h / radio/schedule.h; engine "
-                        "access (RadioNetwork) belongs in the driver .cpp",
-                    false,
-                    {}});
-  }
-}
-
-void rule_analysis_offline(const FileFacts& f, std::vector<Finding>* out) {
-  if (!(in_dir(f.path, "src/protocols") || in_dir(f.path, "src/radio") ||
-        in_dir(f.path, "src/faults") || in_dir(f.path, "src/baselines") ||
-        in_dir(f.path, "src/telemetry") || in_dir(f.path, "src/service") ||
-        in_dir(f.path, "src/health")))
-    return;
-  for (const IncludeDirective& inc : f.includes) {
-    if (!inc.angled && inc.path.starts_with("analysis/")) {
-      out->push_back({"analysis-offline", f.path, inc.line,
-                      "includes \"" + inc.path +
-                          "\": the trace auditor is offline-only — protocols "
-                          "and the engine must never see src/analysis/, or a "
-                          "protocol could base decisions on its own flight "
-                          "recorder",
-                      false,
-                      {}});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// perf-purity / perf-purity-include + perf-purity-flow
+// perf-purity / perf-purity-flow
 //
 // The measurement layer (src/perf/ on top of support/stopwatch.h) reads
-// real clocks; simulation state must stay a pure function of the seed. Two
-// directions are enforced statically: model *declarations* never see the
-// measurement headers (drivers hold only a forward-declared
-// perf::Profiler*), and timing *values* never appear in model code at all
-// — the Profiler/PerfSpan surface a driver touches is write-only, so a
-// measured nanosecond cannot flow into an Rng or a transmit decision.
+// real clocks; simulation state must stay a pure function of the seed. The
+// include direction — model declarations and the engine never see the
+// measurement headers — is a set of `.lint-layers` edges checked by
+// layer-dag. This rule holds the value direction: timing values never
+// appear in model code at all, and the Profiler/PerfSpan surface a driver
+// touches is write-only, so a measured nanosecond cannot flow into an Rng
+// or a transmit decision.
 // ---------------------------------------------------------------------------
-
-void rule_perf_purity_include(const FileFacts& f, std::vector<Finding>* out) {
-  // Protocol/baseline *headers* describe the model; src/radio and
-  // src/faults are the deterministic apparatus under measurement. Driver
-  // .cpp files in src/protocols may include perf/profiler.h to place
-  // spans — that is the whole point of the forward-declaration idiom.
-  const bool model_header =
-      (in_dir(f.path, "src/protocols") || in_dir(f.path, "src/baselines") ||
-       in_dir(f.path, "src/service") || in_dir(f.path, "src/health")) &&
-      is_header(f.path);
-  const bool engine_zone =
-      in_dir(f.path, "src/radio") || in_dir(f.path, "src/faults");
-  if (!model_header && !engine_zone) return;
-  for (const IncludeDirective& inc : f.includes) {
-    if (inc.angled) continue;
-    if (inc.path.starts_with("perf/") || inc.path == "support/stopwatch.h") {
-      out->push_back(
-          {"perf-purity-include", f.path, inc.line,
-           "includes \"" + inc.path +
-               "\": the measurement layer must stay invisible to " +
-               (model_header ? "protocol headers (forward-declare "
-                               "perf::Profiler instead; only driver .cpp "
-                               "files may include it)"
-                             : "the engine (src/radio and src/faults "
-                               "never time themselves)"),
-           false,
-           {}});
-    }
-  }
-}
 
 /// Identifiers that carry measured-time values. Their mention in model
 /// code means a wall-clock quantity is in scope where it could steer the
@@ -460,15 +369,10 @@ const std::vector<RuleInfo> kCatalog = {
     {"rng-stream-audit", "determinism",
      "global Rng::split tag inventory: same-parent duplicate tags, bare "
      "literal tags, call-computed tags, fixed-literal-seed Rng"},
-    {"engine-include", "model-purity",
-     "protocol headers reaching past radio/station.h + schedule.h"},
-    {"analysis-offline", "model-purity",
-     "src/analysis/ included from protocols, radio, faults or telemetry"},
     {"layer-dag", "model-purity",
      "full include graph vs the declared .lint-layers DAG: undeclared "
-     "cross-layer edges, manifest errors, declared-graph cycles"},
-    {"perf-purity-include", "perf-purity",
-     "perf/ or support/stopwatch.h seen from model headers or the engine"},
+     "cross-layer edges (engine or clock seen from the model, the offline "
+     "auditor seen online), manifest errors, declared-graph cycles"},
     {"perf-purity-flow", "perf-purity",
      "timing-value identifiers (Stopwatch, elapsed_ns, ...) in model code"},
     {"hub-null-check", "telemetry",
@@ -527,7 +431,6 @@ AnalysisResult run_analyses(const std::vector<SourceFile>& files,
 
   for (std::size_t i = 0; i < lexed.size(); ++i) {
     const LexedFile& f = lexed[i];
-    const FileFacts& ff = facts.files[i];
     if (enabled("no-raw-random") || enabled("no-wall-clock")) {
       std::vector<Finding> both;
       rule_banned_idents(f, &both);
@@ -535,10 +438,6 @@ AnalysisResult run_analyses(const std::vector<SourceFile>& files,
         if (enabled(fi.rule)) findings.push_back(std::move(fi));
     }
     if (enabled("unordered-container")) rule_unordered_container(f, &findings);
-    if (enabled("engine-include")) rule_engine_include(ff, &findings);
-    if (enabled("analysis-offline")) rule_analysis_offline(ff, &findings);
-    if (enabled("perf-purity-include"))
-      rule_perf_purity_include(ff, &findings);
     if (enabled("perf-purity-flow")) rule_perf_purity_flow(f, &findings);
     if (enabled("hub-null-check"))
       analyze_hub_null_check(f, hub_fields, &findings);
@@ -608,11 +507,6 @@ AnalysisResult run_analyses(const std::vector<SourceFile>& files,
               return a.rule < b.rule;
             });
   return result;
-}
-
-std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
-                               const LintOptions& opt) {
-  return run_analyses(files, opt).findings;
 }
 
 }  // namespace radiomc::lint

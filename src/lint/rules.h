@@ -60,7 +60,8 @@ struct LintOptions {
   /// the CLI validates them first and suggests near matches).
   std::vector<std::string> only_rules;
   /// Contents of the layer manifest. Empty disables the layer-dag
-  /// analysis (so fixture runs without a manifest are unaffected).
+  /// analysis, and with it every include check (so fixture runs without a
+  /// manifest are unaffected).
   std::string layers_manifest;
   /// Name the manifest's own findings are reported against.
   std::string layers_manifest_name = ".lint-layers";
@@ -108,10 +109,6 @@ struct AnalysisResult {
 /// back sorted by (file, line, rule).
 AnalysisResult run_analyses(const std::vector<SourceFile>& files,
                             const LintOptions& opt = {});
-
-/// Compatibility wrapper: findings only.
-std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
-                               const LintOptions& opt = {});
 
 /// Unwaived findings only (what the CLI exits nonzero on).
 std::size_t count_unwaived(const std::vector<Finding>& findings);

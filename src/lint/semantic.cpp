@@ -20,11 +20,6 @@ bool is_hub_pointer_type(std::string_view type) {
 
 namespace {
 
-bool is_rng_support(std::string_view path) {
-  const std::string_view base = basename_of(path);
-  return in_dir(path, "src/support") && (base == "rng.h" || base == "rng.cpp");
-}
-
 bool is_tag_registry(std::string_view path) {
   return in_dir(path, "src/support") && basename_of(path) == "rng_tags.h";
 }

@@ -21,7 +21,7 @@
 #include "protocols/tree.h"
 // BroadcastService is a driver-in-a-header: it owns the RadioNetwork the
 // collection + distribution stacks run on (its stations stay model-pure).
-// radiomc-lint: allow(engine-include) reason=service owns the engine it hosts stations on
+// radiomc-lint: allow(layer-dag) reason=service owns the engine it hosts stations on
 #include "radio/network.h"
 #include "radio/station.h"
 #include "support/rng.h"

@@ -39,7 +39,7 @@
 #include "protocols/tree.h"
 // The emulation layer (§1.3) is itself the "wire": it owns the
 // RadioNetwork that plays the single-hop ethernet segment.
-// radiomc-lint: allow(engine-include) reason=emulation owns the virtual bus engine
+// radiomc-lint: allow(layer-dag) reason=emulation owns the virtual bus engine
 #include "radio/network.h"
 #include "support/rng.h"
 

@@ -1,7 +1,7 @@
 #include "support/parallel.h"
 
 #include <cstdlib>
-#include <string>
+#include <limits>
 
 #include "support/parse.h"
 
@@ -12,12 +12,16 @@ unsigned hardware_jobs() noexcept {
   return hw == 0 ? 1 : hw;
 }
 
+std::optional<unsigned> parse_jobs(std::string_view text) {
+  const std::optional<std::uint64_t> v = parse_u64(text);
+  if (!v || *v > std::numeric_limits<unsigned>::max()) return std::nullopt;
+  return *v == 0 ? hardware_jobs() : static_cast<unsigned>(*v);
+}
+
 unsigned jobs_from_env(unsigned fallback) noexcept {
   const char* env = std::getenv("RADIOMC_JOBS");
-  if (env == nullptr || *env == '\0') return fallback;
-  const std::optional<std::uint64_t> v = parse_u64(env);
-  if (!v) return fallback;
-  return *v == 0 ? hardware_jobs() : static_cast<unsigned>(*v);
+  if (env == nullptr) return fallback;
+  return parse_jobs(env).value_or(fallback);
 }
 
 ThreadPool::ThreadPool(unsigned threads) {

@@ -23,6 +23,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -36,9 +38,14 @@ namespace radiomc {
 /// std::thread::hardware_concurrency with a floor of 1.
 unsigned hardware_jobs() noexcept;
 
+/// A typed job count (--jobs, RADIOMC_JOBS): an unsigned decimal that fits
+/// `unsigned`, "0" meaning all hardware threads. std::nullopt otherwise;
+/// callers report `--jobs: '<text>' is not an unsigned integer`.
+std::optional<unsigned> parse_jobs(std::string_view text);
+
 /// Default job count when a driver got no explicit --jobs: the
-/// RADIOMC_JOBS environment variable ("0" means all hardware threads),
-/// else `fallback` (serial by default, so plain runs stay plain).
+/// RADIOMC_JOBS environment variable (parsed by parse_jobs), else
+/// `fallback` (serial by default, so plain runs stay plain).
 unsigned jobs_from_env(unsigned fallback = 1) noexcept;
 
 /// Fixed-size pool of worker threads draining one FIFO task queue.

@@ -98,6 +98,16 @@ TEST(RuleParse, RejectsWithSpecificMessages) {
   EXPECT_MSG(RuleSet::parse("stall:2,stall:3"), "duplicate rule 'stall'");
 }
 
+TEST(RuleParse, NumbersUseTheOneStrictGrammar) {
+  // support/parse.h: no leading sign, no hex float, no overflow to inf.
+  EXPECT_MSG(RuleSet::parse("stall:+3"), "bad number '+3' in 'stall:+3'");
+  EXPECT_MSG(RuleSet::parse("stall:0x1p3"),
+             "bad number '0x1p3' in 'stall:0x1p3'");
+  EXPECT_MSG(RuleSet::parse("throughput:1e999"),
+             "bad number '1e999' in 'throughput:1e999'");
+  EXPECT_MSG(RuleSet::parse("stall: 3"), "bad number ' 3' in 'stall: 3'");
+}
+
 // ---------------------------------------------------------------------------
 // Window and hysteresis math, on synthetic WindowStats.
 // ---------------------------------------------------------------------------

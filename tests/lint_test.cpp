@@ -1,9 +1,10 @@
 // Tests for the radiomc_lint rule engine (src/lint/).
 //
 // Three layers:
-//  1. fixture snippets fed through run_rules() — at least one failing
+//  1. fixture snippets fed through run_analyses() — at least one failing
 //     fixture per rule family, a passing twin, and a pass-with-waiver
-//     variant, so the suite pins down what each rule fires on;
+//     variant, so the suite pins down what each rule fires on (the
+//     include-policy fixtures run against the repo's real .lint-layers);
 //  2. the trace-kind round trip: every `ev` value the live JsonlTraceSink
 //     writes must pass analysis/trace_event.h's is_trace_line_kind, i.e.
 //     the table the trace-kind-table rule checks statically is also
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/trace_event.h"
+#include "lint/layers.h"
 #include "lint/lexer.h"
 #include "lint/rules.h"
 #include "lint/runner.h"
@@ -36,7 +38,22 @@ using radiomc::lint::SourceFile;
 
 std::vector<Finding> Lint(std::vector<SourceFile> files,
                           LintOptions opt = {}) {
-  return radiomc::lint::run_rules(files, opt);
+  return radiomc::lint::run_analyses(files, opt).findings;
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return std::move(ss).str();
+}
+
+/// The repo's own layer manifest: the include policy fixtures are held to
+/// exactly what the tree enforces.
+LintOptions RepoLayers() {
+  LintOptions opt;
+  opt.layers_manifest = ReadWholeFile(RADIOMC_SOURCE_DIR "/.lint-layers");
+  return opt;
 }
 
 radiomc::lint::AnalysisResult Analyze(std::vector<SourceFile> files,
@@ -54,6 +71,16 @@ std::size_t CountRule(const std::vector<Finding>& findings,
 
 std::size_t Unwaived(const std::vector<Finding>& findings) {
   return radiomc::lint::count_unwaived(findings);
+}
+
+/// The files `rule` fired on, sorted, one entry per finding.
+std::vector<std::string> FlaggedFiles(const std::vector<Finding>& findings,
+                                      std::string_view rule) {
+  std::vector<std::string> out;
+  for (const Finding& f : findings)
+    if (f.rule == rule) out.push_back(f.file);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -159,11 +186,14 @@ TEST(LintDeterminism, ServiceZoneIsDeterministicAndPerfPure) {
        {"src/service/bad.h", "#include \"perf/profiler.h\"\n"},
        {"src/service/flow.cpp", "long f(Stopwatch& w) { return 0; }\n"},
        {"src/service/offline.cpp",
-        "#include \"analysis/trace_event.h\"\n"}});
+        "#include \"analysis/trace_event.h\"\n"}},
+      RepoLayers());
   EXPECT_EQ(CountRule(findings, "unordered-container"), 1u);
-  EXPECT_EQ(CountRule(findings, "perf-purity-include"), 1u);
   EXPECT_EQ(CountRule(findings, "perf-purity-flow"), 1u);
-  EXPECT_EQ(CountRule(findings, "analysis-offline"), 1u);
+  // The header may not see perf/; no service file may see the offline auditor.
+  EXPECT_EQ(FlaggedFiles(findings, "layer-dag"),
+            (std::vector<std::string>{"src/service/bad.h",
+                                      "src/service/offline.cpp"}));
 }
 
 TEST(LintDeterminism, HealthZoneIsDeterministicAndPerfPure) {
@@ -176,11 +206,14 @@ TEST(LintDeterminism, HealthZoneIsDeterministicAndPerfPure) {
        {"src/health/bad.h", "#include \"perf/profiler.h\"\n"},
        {"src/health/flow.cpp", "long f(Stopwatch& w) { return 0; }\n"},
        {"src/health/offline.cpp",
-        "#include \"analysis/trace_event.h\"\n"}});
+        "#include \"analysis/trace_event.h\"\n"}},
+      RepoLayers());
   EXPECT_EQ(CountRule(findings, "unordered-container"), 1u);
-  EXPECT_EQ(CountRule(findings, "perf-purity-include"), 1u);
   EXPECT_EQ(CountRule(findings, "perf-purity-flow"), 1u);
-  EXPECT_EQ(CountRule(findings, "analysis-offline"), 1u);
+  // The header may not see perf/; no health file may see the offline auditor.
+  EXPECT_EQ(FlaggedFiles(findings, "layer-dag"),
+            (std::vector<std::string>{"src/health/bad.h",
+                                      "src/health/offline.cpp"}));
 }
 
 TEST(LintDeterminism, WaiverSuppressesUnorderedContainer) {
@@ -205,8 +238,10 @@ TEST(LintDeterminism, WaiverSuppressesUnorderedContainer) {
 
 TEST(LintModelPurity, ProtocolHeaderMayNotIncludeEngine) {
   const auto findings =
-      Lint({{"src/protocols/bad.h", "#include \"radio/network.h\"\n"}});
-  EXPECT_EQ(CountRule(findings, "engine-include"), 1u);
+      Lint({{"src/protocols/bad.h", "#include \"radio/network.h\"\n"}},
+           RepoLayers());
+  EXPECT_EQ(FlaggedFiles(findings, "layer-dag"),
+            (std::vector<std::string>{"src/protocols/bad.h"}));
 }
 
 TEST(LintModelPurity, DriverCppAndAllowlistedHeadersPass) {
@@ -218,16 +253,18 @@ TEST(LintModelPurity, DriverCppAndAllowlistedHeadersPass) {
        {"src/protocols/ok.h", "#include \"radio/station.h\"\n"
                               "#include \"radio/schedule.h\"\n"
                               "#include \"radio/trace.h\"\n"
-                              "#include \"radio/message.h\"\n"}});
-  EXPECT_EQ(CountRule(findings, "engine-include"), 0u);
+                              "#include \"radio/message.h\"\n"}},
+      RepoLayers());
+  EXPECT_EQ(CountRule(findings, "layer-dag"), 0u);
 }
 
 TEST(LintModelPurity, WaiverCoversEngineOwningService) {
   const auto findings = Lint(
       {{"src/protocols/service.h",
-        "// radiomc-lint: allow(engine-include) reason=owns the engine\n"
-        "#include \"radio/network.h\"\n"}});
-  EXPECT_EQ(CountRule(findings, "engine-include", /*waived_only=*/true), 1u);
+        "// radiomc-lint: allow(layer-dag) reason=owns the engine\n"
+        "#include \"radio/network.h\"\n"}},
+      RepoLayers());
+  EXPECT_EQ(CountRule(findings, "layer-dag", /*waived_only=*/true), 1u);
   EXPECT_EQ(Unwaived(findings), 0u);
 }
 
@@ -236,8 +273,11 @@ TEST(LintModelPurity, AnalysisIsOfflineOnly) {
       {{"src/protocols/bad.cpp", "#include \"analysis/trace_event.h\"\n"},
        {"src/radio/bad2.cpp", "#include \"analysis/auditor.h\"\n"},
        // tools/ drive the auditor; that is its intended consumer.
-       {"tools/radiomc_trace.cpp", "#include \"analysis/auditor.h\"\n"}});
-  EXPECT_EQ(CountRule(findings, "analysis-offline"), 2u);
+       {"tools/radiomc_trace.cpp", "#include \"analysis/auditor.h\"\n"}},
+      RepoLayers());
+  EXPECT_EQ(FlaggedFiles(findings, "layer-dag"),
+            (std::vector<std::string>{"src/protocols/bad.cpp",
+                                      "src/radio/bad2.cpp"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -286,8 +326,13 @@ TEST(LintPerfPurity, ModelHeadersMayNotIncludeTheMeasurementLayer) {
       {{"src/protocols/bad.h", "#include \"perf/profiler.h\"\n"},
        {"src/baselines/bad2.h", "#include \"support/stopwatch.h\"\n"},
        {"src/radio/bad3.cpp", "#include \"perf/profiler.h\"\n"},
-       {"src/faults/bad4.cpp", "#include \"support/stopwatch.h\"\n"}});
-  EXPECT_EQ(CountRule(findings, "perf-purity-include"), 4u);
+       {"src/faults/bad4.cpp", "#include \"support/stopwatch.h\"\n"}},
+      RepoLayers());
+  EXPECT_EQ(FlaggedFiles(findings, "layer-dag"),
+            (std::vector<std::string>{"src/baselines/bad2.h",
+                                      "src/faults/bad4.cpp",
+                                      "src/protocols/bad.h",
+                                      "src/radio/bad3.cpp"}));
 }
 
 TEST(LintPerfPurity, DriverCppAndForwardDeclarationPass) {
@@ -299,8 +344,9 @@ TEST(LintPerfPurity, DriverCppAndForwardDeclarationPass) {
         "namespace perf { class Profiler; }\n"
         "struct Cfg { perf::Profiler* profiler = nullptr; };\n"},
        // The perf layer may of course include itself.
-       {"src/perf/report.cpp", "#include \"perf/profiler.h\"\n"}});
-  EXPECT_EQ(CountRule(findings, "perf-purity-include"), 0u);
+       {"src/perf/report.cpp", "#include \"perf/profiler.h\"\n"}},
+      RepoLayers());
+  EXPECT_EQ(CountRule(findings, "layer-dag"), 0u);
 }
 
 TEST(LintPerfPurity, TimingValuesAreBannedFromModelCode) {
@@ -337,10 +383,10 @@ TEST(LintPerfPurity, WriteOnlyProfilerSurfacePasses) {
 TEST(LintPerfPurity, WaiverSuppressesPerfPurityFinding) {
   const auto findings = Lint(
       {{"src/protocols/waived.h",
-        "// radiomc-lint: allow(perf-purity-include) reason=fixture\n"
-        "#include \"perf/profiler.h\"\n"}});
-  EXPECT_EQ(CountRule(findings, "perf-purity-include", /*waived_only=*/true),
-            1u);
+        "// radiomc-lint: allow(layer-dag) reason=fixture\n"
+        "#include \"perf/profiler.h\"\n"}},
+      RepoLayers());
+  EXPECT_EQ(CountRule(findings, "layer-dag", /*waived_only=*/true), 1u);
   EXPECT_EQ(Unwaived(findings), 0u);
 }
 
@@ -892,6 +938,77 @@ TEST(LintLayerDag, ReportCountsLayersAndEdges) {
   EXPECT_EQ(result.layer_edges_declared, 1u);
 }
 
+TEST(LintLayerDag, FileEntryClaimsOneFileOfADirectory) {
+  const auto findings = Lint(
+      {{"src/model/a.h", "#include \"support/rng.h\"\n"
+                         "#include \"support/stopwatch.h\"\n"}},
+      WithManifest("layer support src/support\n"
+                   "layer clock   src/support/stopwatch.h\n"
+                   "layer model   src/model\n"
+                   "allow model -> support\n"));
+  ASSERT_EQ(CountRule(findings, "layer-dag"), 1u);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_NE(findings[0].message.find("include edge model -> clock"),
+            std::string::npos);
+}
+
+TEST(LintLayerDag, HeaderSetEntrySplitsHeadersFromTheirDriverCpp) {
+  const auto findings = Lint(
+      {{"src/beta/b.cpp", "#include \"beta/b.h\"\n#include \"alpha/a.h\"\n"},
+       {"src/beta/b.h", "#include \"alpha/a.h\"\n"},
+       {"src/alpha/a.cpp", "#include \"beta/b.h\"\n"}},
+      WithManifest("layer alpha    src/alpha\n"
+                   "layer beta     src/beta\n"
+                   "layer beta-api src/beta/*.h\n"
+                   "allow alpha -> beta-api\n"
+                   "allow beta -> alpha\n"
+                   "allow beta -> beta-api\n"));
+  ASSERT_EQ(CountRule(findings, "layer-dag"), 1u);
+  EXPECT_EQ(findings[0].file, "src/beta/b.h");
+  EXPECT_NE(findings[0].message.find("include edge beta-api -> alpha"),
+            std::string::npos);
+}
+
+TEST(LintLayerDag, MostSpecificEntryWinsWhateverTheOrder) {
+  const auto m = radiomc::lint::parse_layer_manifest(
+      "layer file    src/x/one.h\n"
+      "layer headers src/x/*.h\n"
+      "layer deep    src/x/deep\n"
+      "layer dir     src/x\n");
+  ASSERT_TRUE(m.errors.empty());
+  using radiomc::lint::layer_of;
+  EXPECT_EQ(layer_of(m, "src/x/one.h"), "file");
+  EXPECT_EQ(layer_of(m, "x/one.h"), "file");  // as a quoted include
+  EXPECT_EQ(layer_of(m, "/abs/repo/src/x/one.h"), "file");
+  EXPECT_EQ(layer_of(m, "src/x/two.h"), "headers");
+  EXPECT_EQ(layer_of(m, "x/two.h"), "headers");
+  EXPECT_EQ(layer_of(m, "src/x/two.cpp"), "dir");
+  EXPECT_EQ(layer_of(m, "src/x/deep/y.h"), "deep");  // not directly in src/x
+  EXPECT_EQ(layer_of(m, "x/deep/y.cpp"), "deep");
+  EXPECT_EQ(layer_of(m, "src/other/z.h"), "");
+  EXPECT_EQ(layer_of(m, "one.h"), "");  // no directory, no layer
+}
+
+TEST(LintLayerDag, GlobOtherThanHeadersOfOneDirectoryIsRejected) {
+  const auto m = radiomc::lint::parse_layer_manifest(
+      "layer a src/a/*.cpp\n"
+      "layer b src/*/b.h\n"
+      "layer c src/c/*.h\n");
+  ASSERT_EQ(m.errors.size(), 2u);
+  EXPECT_EQ(m.errors[0].line, 1);
+  EXPECT_EQ(m.errors[0].message,
+            "layer 'a': unsupported glob 'src/a/*.cpp' (the only glob is "
+            "'<dir>/*.h', the headers of one directory)");
+  EXPECT_EQ(m.errors[1].line, 2);
+  EXPECT_NE(m.errors[1].message.find("unsupported glob 'src/*/b.h'"),
+            std::string::npos);
+  ASSERT_EQ(m.layers.size(), 3u);
+  ASSERT_EQ(m.layers[2].entries.size(), 1u);
+  EXPECT_EQ(m.layers[2].entries[0].kind,
+            radiomc::lint::LayerEntry::Kind::kHeaders);
+  EXPECT_EQ(m.layers[2].entries[0].path, "src/c");
+}
+
 // ---------------------------------------------------------------------------
 // Flow-aware hub-null-check (early returns, inverted guards, else branches).
 // ---------------------------------------------------------------------------
@@ -1072,13 +1189,6 @@ TEST(LintReportV2, RoundTripsThroughTheJsonParser) {
 // ---------------------------------------------------------------------------
 // The repo itself must lint clean (the CI gate, run as a test).
 // ---------------------------------------------------------------------------
-
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return std::move(ss).str();
-}
 
 TEST(LintRepo, TreeHasNoUnwaivedFindings) {
   const std::vector<std::string> roots = {RADIOMC_SOURCE_DIR "/src",

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -286,6 +287,14 @@ TEST(BenchHarness, JsonEmitterMergeAndsPassFlag) {
   failing.pass(false);
   main.merge(std::move(failing));
   EXPECT_NE(main.document().find("\"pass\":false"), std::string::npos);
+}
+
+TEST(ParseJobs, OneGrammarForFlagAndEnvironment) {
+  EXPECT_EQ(parse_jobs(""), std::nullopt);
+  EXPECT_EQ(parse_jobs("abc"), std::nullopt);
+  EXPECT_EQ(parse_jobs("4294967296"), std::nullopt);  // does not fit unsigned
+  EXPECT_EQ(parse_jobs("0"), hardware_jobs());
+  EXPECT_EQ(parse_jobs("3"), 3u);
 }
 
 TEST(BenchHarness, ParseOptionsReadsJobsFlag) {

@@ -16,9 +16,10 @@
 // Options:
 //   --json FILE       write the radiomc.lint/v2 JSON report to FILE
 //   --facts-out FILE  write the radiomc.facts/v1 cross-TU facts DB to FILE
-//   --layers FILE     layer manifest for the layer-dag analysis
-//                     (default: ./.lint-layers when it exists)
-//   --no-layers       skip the layer-dag analysis even if ./.lint-layers exists
+//   --layers FILE     layer manifest for the layer-dag analysis, the one
+//                     include policy (default: ./.lint-layers when it exists)
+//   --no-layers       skip the layer-dag analysis, and so every include
+//                     check, even if ./.lint-layers exists
 //   --rule ID[,ID..]  run only these rules (repeatable; unknown ids error
 //                     with a nearest-match suggestion)
 //   --no-waived       hide waived findings from the text output

@@ -457,6 +457,14 @@ using CoreFn = TrialOut (*)(const Args&, std::uint64_t seed,
 int run_cmd(const Args& a, CoreFn core) {
   Obs obs = Obs::from_args(a);
   const std::uint64_t trials = a.get_u64("trials", 1);
+  // Validated even when unused, so a typo never runs on defaults.
+  unsigned jobs = jobs_from_env(1);
+  if (a.has("jobs")) {
+    const std::string text = a.get("jobs", "");
+    const std::optional<unsigned> j = parse_jobs(text);
+    require(j.has_value(), "--jobs: '" + text + "' is not an unsigned integer");
+    jobs = *j;
+  }
   if (trials <= 1) {
     const TrialOut out = core(a, a.get_u64("seed", 1), obs.instruments());
     std::fputs(out.report.c_str(), stdout);
@@ -468,11 +476,6 @@ int run_cmd(const Args& a, CoreFn core) {
   require(!obs.snap,
           "--snapshot-out is incompatible with --trials: one snapshot "
           "stream cannot interleave independent slot clocks");
-  unsigned jobs = jobs_from_env(1);
-  if (a.has("jobs")) {
-    jobs = static_cast<unsigned>(a.get_u64("jobs", 1));
-    if (jobs == 0) jobs = hardware_jobs();
-  }
   obs.perf_jobs = jobs;
   Rng root(a.get_u64("seed", 1));
   std::vector<std::uint64_t> seeds;
