@@ -332,15 +332,16 @@ int run(int argc, char** argv) {
                  }
                });
   }
-  {
+  for (NodeId side : {NodeId{16}, NodeId{32}}) {
     // The full §2 setup (election, BFS + verification, both DFS passes,
     // final verification, completion flood) end to end. Most of its
-    // schedule is idle epochs the stations sleep through; polling every
-    // station in every slot again would cost about 10x here.
-    const Graph g = gen::grid(16, 16);
+    // schedule is idle epochs the stations sleep through, and each
+    // completion-flood station sleeps once its k Decay phases are spent;
+    // polling every station in every slot again would cost about 10x here.
+    const Graph g = gen::grid(side, side);
     Rng rng(7);
-    micro_case("setup_full_run", 256, min_time_ms, &micro, &json,
-               [&](std::uint64_t batch) {
+    micro_case("setup_full_run", static_cast<int>(side * side), min_time_ms,
+               &micro, &json, [&](std::uint64_t batch) {
                  for (std::uint64_t i = 0; i < batch; ++i) {
                    const auto out = run_setup(g, rng.next());
                    keep(out);

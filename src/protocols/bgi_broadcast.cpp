@@ -9,8 +9,10 @@
 
 namespace radiomc {
 
-FloodStation::FloodStation(std::uint32_t decay_len, Rng rng, bool autosleep)
+FloodStation::FloodStation(std::uint32_t decay_len, std::uint32_t phase_quota,
+                           Rng rng, bool autosleep)
     : decay_len_(decay_len),
+      quota_(phase_quota),
       rng_(rng),
       decay_(decay_len),
       autosleep_(autosleep) {}
@@ -34,22 +36,33 @@ void FloodStation::reset(Rng rng) {
   informed_at_ = 0;
   msg_ = Message{};
   decay_.stop();
-  attempt_phase_ = static_cast<std::uint64_t>(-1);
+  attempt_phase_ = kUnset;
+  end_phase_ = kUnset;
   just_transmitted_ = false;
 }
 
 std::optional<Message> FloodStation::poll(SlotTime t) {
   // An uninformed poll is a pure no-op, so an uninformed station may sleep
-  // until the front's delivery wakes it. An informed station re-wakes every
-  // poll: the flood restarts a Decay invocation each phase forever, so it
-  // always has a future transmission duty even in its silent slots.
+  // until the front's delivery wakes it.
   if (!informed_) return std::nullopt;
-  if (waker_ != nullptr) waker_->wake();
   const std::uint64_t phase = t / decay_len_;
+  if (end_phase_ == kUnset) {
+    // First poll since being informed (the slot after the reception, or
+    // the source's first slot): a phase begun before this slot is partial
+    // and runs as an extra, so the k whole phases start after it.
+    const std::uint64_t first_whole = t % decay_len_ == 0 ? phase : phase + 1;
+    end_phase_ = first_whole + quota_;
+  }
+  // Quota spent: silent for good, with no state change, no draw and no
+  // re-wake, so the engine may stop polling.
+  if (phase >= end_phase_) return std::nullopt;
   if (phase != attempt_phase_) {
     attempt_phase_ = phase;
     decay_.start();
   }
+  // Until the last slot of the quota every slot may start a Decay or
+  // continue one, so the station keeps itself scheduled.
+  if (waker_ != nullptr && t + 1 < end_phase_ * decay_len_) waker_->wake();
   if (!decay_.wants_transmit()) return std::nullopt;
   just_transmitted_ = true;
   return msg_;
@@ -61,8 +74,9 @@ void FloodStation::deliver(SlotTime t, const Message& m) {
   informed_ = true;
   informed_at_ = t;
   msg_ = m;
-  // Joins the flood at its next poll: attempt_phase_ lags behind, so a
-  // fresh Decay invocation starts at the next phase boundary seen.
+  // Joins the flood at its next poll, in the next slot: a Decay starts
+  // there at once, in the rest of this phase if the reception was not in
+  // the phase's last slot.
 }
 
 void FloodStation::tick(SlotTime) {
@@ -83,8 +97,8 @@ BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
   std::vector<std::unique_ptr<FloodStation>> stations;
   stations.reserve(n);
   for (NodeId v = 0; v < n; ++v)
-    stations.push_back(
-        std::make_unique<FloodStation>(dl, master.split(v), autosleep));
+    stations.push_back(std::make_unique<FloodStation>(
+        dl, bgi_phase_quota(n), master.split(v), autosleep));
   Message m;
   m.kind = MsgKind::kBcastData;
   m.origin = source;

@@ -45,7 +45,8 @@ class SetupStation final : public Station {
         le_(me, make_leader_cfg(), rng_.split(rng_tags::kSetupLeader)),
         bfs_(me, make_bfs_cfg(), rng_.split(rng_tags::kSetupBfs)),
         coll_(me, make_coll_cfg(), rng_.split(rng_tags::kSetupVerifyCollection)),
-        flood_g_(decay_len_, rng_.split(rng_tags::kSetupFloodG)),
+        flood_g_(decay_len_, bgi_phase_quota(n_),
+                 rng_.split(rng_tags::kSetupFloodG)),
         dfs1_(me, neighbor_vector(g, me)),
         dfs2_(me) {
     coll_.set_root_handler([this](SlotTime t, const Message& m) {

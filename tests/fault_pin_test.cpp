@@ -236,7 +236,7 @@ TEST(FaultPin, EveryDriverReproducesItsFaultedRunExactly) {
   const std::vector<PinRow> rows = {
       {"setup", pin_setup,
        "ok=1 slots=31232 attempts=2 engine.slots=31232 "
-       "deliveries=2571 jams=34 drops=34 link_blocked=0 "
+       "deliveries=1943 jams=34 drops=34 link_blocked=0 "
        "crashed_slots=1664 crashes=6 recoveries=6 "},
       {"collection", pin_collection,
        "slots=483 delivered=24 engine.slots=483 deliveries=669 "

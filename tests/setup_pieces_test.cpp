@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "protocols/bfs_build.h"
@@ -56,6 +59,56 @@ TEST(Flood, ZeroPhasesInformsOnlySource) {
   const Graph g = gen::path(4);
   const auto out = run_bgi_broadcast(g, 0, 0, 11);
   EXPECT_EQ(out.informed_count, 1u);
+}
+
+TEST(Flood, QuotaCountsWholePhasesOnly) {
+  // A source seeded on a phase boundary runs a Decay in phases 0..k-1 and
+  // is silent from then on; a station informed in mid-phase runs the rest
+  // of that phase as an extra and then k whole phases. Decay always
+  // transmits in its first slot, so every phase with a Decay shows up.
+  constexpr std::uint32_t kLen = 4;
+  constexpr std::uint32_t kQuota = 3;
+  const auto phases_sent = [&](FloodStation& st, SlotTime from) {
+    std::vector<std::uint64_t> phases;
+    for (SlotTime t = from; t < (kQuota + 4) * kLen; ++t) {
+      if (st.poll(t) && (phases.empty() || phases.back() != t / kLen))
+        phases.push_back(t / kLen);
+      st.tick(t);
+    }
+    return phases;
+  };
+  Message m;
+  m.kind = MsgKind::kBcastData;
+  FloodStation source(kLen, kQuota, Rng(1));
+  source.seed(m);
+  EXPECT_EQ(phases_sent(source, 0), (std::vector<std::uint64_t>{0, 1, 2}));
+
+  FloodStation late(kLen, kQuota, Rng(2));
+  late.deliver(kLen + 1, m);  // informed in slot 1 of phase 1
+  EXPECT_EQ(phases_sent(late, kLen + 2),
+            (std::vector<std::uint64_t>{1, 2, 3, 4}));
+}
+
+TEST(Flood, QuotaBoundsTheWorkNotTheBudget) {
+  // Every informed station stops after its k phases, so once all have
+  // stopped a four times longer budget polls no station more often, and
+  // the polls are bounded by n*(k+2) phases of work. A flood that never
+  // stops fails both checks.
+  const Graph g = gen::grid(6, 6);
+  const std::uint64_t n = g.num_nodes();
+  const std::uint64_t dl = decay_length(g.max_degree());
+  const std::uint64_t k = bgi_phase_quota(g.num_nodes());
+  const std::uint64_t budget = 2 * (diameter(g) + k + 2);
+  const auto a = run_bgi_broadcast(g, 0, budget, 21);
+  const auto b = run_bgi_broadcast(g, 0, 4 * budget, 21);
+  ASSERT_EQ(a.informed_count, n);
+  SlotTime last = 0;
+  for (const SlotTime at : a.informed_at) last = std::max(last, at);
+  // The budget outlasts the last station's partial phase and its k.
+  ASSERT_LE(last / dl + k + 2, budget);
+  EXPECT_EQ(a.informed_at, b.informed_at);
+  EXPECT_EQ(a.engine_polls, b.engine_polls);
+  EXPECT_LE(a.engine_polls, n * (k + 2) * dl);
 }
 
 class LeaderSweep : public ::testing::TestWithParam<int> {};

@@ -1,12 +1,16 @@
 // Exact-outcome pins for the §2 setup phase. The setup station sleeps
 // between the slots where it has work (timed wakes at its next epoch
 // boundary and its next election / BFS phase start, wakes on receptions),
-// which is only sound if every skipped poll was a pure no-op. These rows
-// pin what an always-polled setup produced, captured before the station
-// learned to sleep: the JSONL trace bytes (FNV-1a), every NetMetrics
-// counter, and the outcome's slots, work_slots, attempts, tree and labels.
-// A skipped poll that mattered — a missed boundary action, a Decay that
-// starts a phase late, an RNG draw that moves — changes one of them.
+// and each completion-flood station sleeps for good once its k Decay
+// phases are spent, which is only sound if every skipped poll was a pure
+// no-op. These rows pin what an always-polled setup (autosleep off for
+// every station) produces with the flood's phase quota: the JSONL trace
+// bytes (FNV-1a), every NetMetrics counter, and the outcome's slots,
+// work_slots, attempts, tree and labels. A skipped poll that mattered (a
+// missed boundary action, a Decay that starts a phase late, an RNG draw
+// that moves) changes one of them. The quota itself moves only the trace
+// and the transmission counters: slots, work_slots, attempts, tree and
+// labels equal those of a flood without a quota.
 //
 // The poll count is the one thing allowed to move. The legacy engine
 // polled exactly n stations in every slot, so `engine_polls <= n * slots
@@ -20,9 +24,13 @@
 #include <vector>
 
 #include "faults/fault_plan.h"
+#include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "graph/topology_spec.h"
+#include "protocols/bgi_broadcast.h"
 #include "protocols/setup.h"
 #include "support/rng.h"
+#include "support/util.h"
 #include "telemetry/jsonl_sink.h"
 #include "telemetry/telemetry.h"
 
@@ -146,33 +154,33 @@ TEST(SetupPin, FaultFreeTopologiesReproduceTheAlwaysPolledRun) {
       {"grid8x8", gen::grid(8, 8), 101, true,
        "ok=1 slots=53828 work_slots=28842 attempts=1 "
        "leader=63 tree=14998697575806738396 "
-       "labels=644499709897485453 trace=7954511402410414559 "
-       "trace_bytes=5976836 tx=39549 deliveries=25099 "
-       "collisions=12575 capture=0 jams=0 drops=0 "
+       "labels=644499709897485453 trace=14627286949124912314 "
+       "trace_bytes=2235456 tx=10083 deliveries=13519 "
+       "collisions=4575 capture=0 jams=0 drops=0 "
        "link_blocked=0 crashed_slots=0 crashes=0 "
        "recoveries=0 "},
       {"path32", gen::path(32), 102, false,
        "ok=1 slots=14356 work_slots=7518 attempts=1 "
        "leader=31 tree=2499285894137377217 "
        "labels=17094828029797293861 "
-       "trace=3467806757938247770 trace_bytes=1489848 "
-       "tx=10443 deliveries=7120 collisions=623 capture=0 "
+       "trace=16857597560028443917 trace_bytes=950854 "
+       "tx=4865 deliveries=6218 collisions=208 capture=0 "
        "jams=0 drops=0 link_blocked=0 crashed_slots=0 "
        "crashes=0 recoveries=0 "},
       {"star16", gen::star(16), 103, false,
        "ok=1 slots=95368 work_slots=64124 attempts=2 "
        "leader=15 tree=5575996250233545767 "
        "labels=1799796019094015108 "
-       "trace=1051416486752172328 trace_bytes=1199040 "
-       "tx=8392 deliveries=5702 collisions=851 capture=0 "
+       "trace=3286550203153537525 trace_bytes=701046 "
+       "tx=3831 deliveries=4265 collisions=541 capture=0 "
        "jams=0 drops=0 link_blocked=0 crashed_slots=0 "
        "crashes=0 recoveries=0 "},
       {"udg48", udg, 104, false,
        "ok=1 slots=102756 work_slots=54222 attempts=1 "
        "leader=47 tree=14801864070300267147 "
        "labels=144299696819929356 "
-       "trace=16390886880354079763 trace_bytes=7331814 "
-       "tx=26899 deliveries=34377 collisions=41914 "
+       "trace=5914232794141497754 trace_bytes=3858130 "
+       "tx=9257 deliveries=22351 collisions=22099 "
        "capture=0 jams=0 drops=0 link_blocked=0 "
        "crashed_slots=0 crashes=0 recoveries=0 "},
   };
@@ -198,8 +206,8 @@ TEST(SetupPin, RandomIdCollisionForcesASecondAttempt) {
             "ok=1 slots=47752 work_slots=32190 attempts=2 "
             "leader=10 tree=5028565776302851396 "
             "labels=5958096268306516265 "
-            "trace=3064262278997815908 trace_bytes=1121331 "
-            "tx=7129 deliveries=5270 collisions=2175 capture=0 "
+            "trace=5514379121946975307 trace_bytes=594675 "
+            "tx=2858 deliveries=3575 collisions=1281 capture=0 "
             "jams=0 drops=0 link_blocked=0 crashed_slots=0 "
             "crashes=0 recoveries=0 ");
   expect_sleeps(g, p.out);
@@ -226,16 +234,16 @@ TEST(SetupPin, CrashesAcrossEpochBoundariesReproduceTheAlwaysPolledRun) {
        "ok=1 slots=15940 work_slots=8138 attempts=1 "
        "leader=15 tree=1429498158202677320 "
        "labels=2757955164108171755 "
-       "trace=6042157517585298444 trace_bytes=518978 "
-       "tx=3370 deliveries=2390 collisions=978 capture=0 "
+       "trace=4240857001530079882 trace_bytes=287607 "
+       "tx=1460 deliveries=1699 collisions=542 capture=0 "
        "jams=0 drops=0 link_blocked=0 crashed_slots=896 "
        "crashes=8 recoveries=8 "},
       {"attempt_end", s0.attempt_length(), 4, 13, 2,
        "ok=1 slots=47752 work_slots=32100 attempts=2 "
        "leader=13 tree=13195688544406439295 "
        "labels=16789194578795308321 "
-       "trace=8440560386556410660 trace_bytes=1098402 "
-       "tx=6926 deliveries=5299 collisions=1929 capture=0 "
+       "trace=3975254698908962800 trace_bytes=576689 "
+       "tx=2661 deliveries=3652 collisions=1039 capture=0 "
        "jams=0 drops=0 link_blocked=0 crashed_slots=1216 "
        "crashes=9 recoveries=9 "},
   };
@@ -249,6 +257,46 @@ TEST(SetupPin, CrashesAcrossEpochBoundariesReproduceTheAlwaysPolledRun) {
     EXPECT_GT(p.crashes, 0u) << row.name << ": the plan never bit";
     EXPECT_EQ(p.line, row.expected) << row.name;
     expect_sleeps(g, p.out);
+  }
+}
+
+TEST(SetupPin, FamilySweepKeepsAttemptsAndSlotsUnderTheFloodQuota) {
+  // The flood quota may only remove transmissions from epoch G. Setup's
+  // slots and attempts, pinned here from the unbounded flood over seven
+  // families and three seeds, must not move, and the standalone flood
+  // must still inform every node within the `radiomc_sim flood` budget.
+  struct Row {
+    const char* spec;
+    std::uint64_t seed;
+    std::uint32_t attempts;
+    SlotTime slots;
+  };
+  const std::vector<Row> rows = {
+      {"path:24", 1, 1, 11188},         {"path:24", 2, 1, 11188},
+      {"path:24", 3, 1, 11188},         {"star:16", 1, 1, 31812},
+      {"star:16", 2, 1, 31812},         {"star:16", 3, 1, 31812},
+      {"udg:32", 1, 1, 71252},          {"udg:32", 2, 1, 71252},
+      {"udg:32", 3, 1, 71252},          {"gnp:28:0.2", 1, 1, 50740},
+      {"gnp:28:0.2", 2, 1, 38084},      {"gnp:28:0.2", 3, 1, 38084},
+      {"caterpillar:8:2", 1, 1, 22276}, {"caterpillar:8:2", 2, 1, 22276},
+      {"caterpillar:8:2", 3, 1, 22276}, {"barbell:6:4", 1, 1, 23876},
+      {"barbell:6:4", 2, 1, 23876},     {"barbell:6:4", 3, 1, 23876},
+      {"torus:5x6", 1, 1, 27004},       {"torus:5x6", 2, 1, 27004},
+      {"torus:5x6", 3, 1, 27004},
+  };
+  for (const Row& row : rows) {
+    Rng rng(row.seed);
+    const Graph g = gen::from_spec(row.spec, rng);
+    const NodeId n = g.num_nodes();
+    const SetupOutcome out = run_setup(g, rng.next());
+    EXPECT_TRUE(out.ok) << row.spec << " seed " << row.seed;
+    EXPECT_TRUE(is_bfs_tree_of(g, out.tree))
+        << row.spec << " seed " << row.seed;
+    EXPECT_EQ(out.attempts, row.attempts) << row.spec << " seed " << row.seed;
+    EXPECT_EQ(out.slots, row.slots) << row.spec << " seed " << row.seed;
+    const std::uint64_t phases = 4 * (diameter(g) + 2 * ceil_log2(n) + 4);
+    const BgiOutcome flood = run_bgi_broadcast(g, 0, phases, rng.next());
+    EXPECT_EQ(flood.informed_count, n) << row.spec << " seed " << row.seed;
   }
 }
 

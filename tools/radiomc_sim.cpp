@@ -536,13 +536,14 @@ int cmd_topo(const Args& a) {
   std::printf("  n        = %u\n", g.num_nodes());
   std::printf("  edges    = %zu\n", g.num_edges());
   std::printf("  Delta    = %u\n", g.max_degree());
-  std::printf("  diameter = %u\n", diameter(g));
+  const std::uint32_t diam = diameter(g);  // O(n*m): compute it once
+  std::printf("  diameter = %u\n", diam);
   std::printf("  decay_len= %u\n", decay_length(g.max_degree()));
   Obs obs = Obs::from_args(a);
   obs.tel.metrics.gauge("topo.n").set(g.num_nodes());
   obs.tel.metrics.gauge("topo.edges").set(static_cast<double>(g.num_edges()));
   obs.tel.metrics.gauge("topo.max_degree").set(g.max_degree());
-  obs.tel.metrics.gauge("topo.diameter").set(diameter(g));
+  obs.tel.metrics.gauge("topo.diameter").set(diam);
   obs.tel.metrics.gauge("topo.decay_len").set(decay_length(g.max_degree()));
   return obs.finish(0);
 }
