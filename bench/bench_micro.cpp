@@ -28,6 +28,7 @@
 #include "common.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "protocols/bgi_broadcast.h"
 #include "protocols/collection.h"
 #include "protocols/decay.h"
 #include "protocols/setup.h"
@@ -344,6 +345,27 @@ int run(int argc, char** argv) {
                &micro, &json, [&](std::uint64_t batch) {
                  for (std::uint64_t i = 0; i < batch; ++i) {
                    const auto out = run_setup(g, rng.next());
+                   keep(out);
+                 }
+               });
+  }
+  {
+    // The standalone BGI flood on a dense unit-disk graph at the
+    // connectivity radius, with the `radiomc_sim flood` phase budget (a
+    // double-sweep diameter, computed once outside the timed loop). An
+    // informed station is polled while its Decay transmits and at each
+    // phase start, and most receiver cells are touched in the busy slots.
+    constexpr NodeId kN = 2000;
+    Rng rng(8);
+    const Graph g =
+        gen::unit_disk_connected(kN, gen::udg_connect_radius(kN), rng);
+    const std::uint64_t phases =
+        4 * (diameter_double_sweep(g) + 2 * ceil_log2(kN) + 4);
+    micro_case("flood_full_run", static_cast<int>(kN), min_time_ms, &micro,
+               &json, [&](std::uint64_t batch) {
+                 for (std::uint64_t i = 0; i < batch; ++i) {
+                   const auto out =
+                       run_bgi_broadcast(g, 0, phases, rng.next());
                    keep(out);
                  }
                });

@@ -230,6 +230,10 @@ const std::map<std::string_view, MemberClass>& radio_network_table() {
        {"barrier-mergeable",
         "touched-cell set; union then sort restores the canonical "
         "(node, channel) scan order"}},
+      {"touched_bits_",
+       {"barrier-mergeable",
+        "ordering scratch for the merged touched set, used once per slot "
+        "after the barrier and zero again before the next slot"}},
       {"rx_epoch_",
        {"barrier-mergeable",
         "receiver cell stamps; boundary cells written by several shards "

@@ -30,8 +30,9 @@ void FloodStation::seed(const Message& m) {
   if (waker_ != nullptr) waker_->wake();
 }
 
-void FloodStation::reset(Rng rng) {
+void FloodStation::reset(Rng rng, SlotTime base) {
   rng_ = rng;
+  base_ = base;
   informed_ = false;
   informed_at_ = 0;
   msg_ = Message{};
@@ -60,12 +61,16 @@ std::optional<Message> FloodStation::poll(SlotTime t) {
     attempt_phase_ = phase;
     decay_.start();
   }
-  // Until the last slot of the quota every slot may start a Decay or
-  // continue one, so the station keeps itself scheduled.
-  if (waker_ != nullptr && t + 1 < end_phase_ * decay_len_) waker_->wake();
-  if (!decay_.wants_transmit()) return std::nullopt;
-  just_transmitted_ = true;
-  return msg_;
+  if (decay_.wants_transmit()) {
+    // A transmission retains the station for the next slot.
+    just_transmitted_ = true;
+    return msg_;
+  }
+  // This phase's Decay is over: nothing changes until the next phase
+  // starts, so sleep until then if it is still within the quota.
+  if (waker_ != nullptr && phase + 1 < end_phase_)
+    waker_->wake_at(base_ + (phase + 1) * decay_len_);
+  return std::nullopt;
 }
 
 void FloodStation::deliver(SlotTime t, const Message& m) {

@@ -32,10 +32,18 @@
 //     the order of the budgets the callers pass. The extra partial Decay
 //     is not phase-aligned, so a phase in which a neighbour of v joins
 //     mid-phase lies outside this argument.
-//   * A station past its quota is inert: its poll returns nothing, draws
-//     no randomness and changes no state, and it never wakes itself, so
-//     the engine may stop polling it. Every skipped poll is a no-op, so
-//     the run is byte-identical with and without autosleep.
+//   * A station polled without work is inert: its poll returns nothing,
+//     draws no randomness and changes no state. That holds before it is
+//     informed, after its quota, and in the rest of a phase whose Decay
+//     has died (the coin usually ends a Decay after about 2 of its
+//     decay_len slots). So it sleeps through all three: the delivery that
+//     informs it wakes it, a transmission keeps it scheduled for the next
+//     slot, and a poll that finds the Decay dead arms a timer for the next
+//     phase start if that phase is within the quota. The timer is in
+//     engine slots, so it needs the engine slot of the flood's slot 0 (the
+//     slot base: 0 standalone, the start of epoch G in setup). Every
+//     skipped poll is a no-op, so the run is byte-identical with and
+//     without autosleep.
 //   * In setup, epoch G keeps its fixed length, so the slots, work slots,
 //     tree and labels depend only on which attempt succeeds, and the quota
 //     moves that only through a node the flood misses (first point).
@@ -73,11 +81,13 @@ class FloodStation final : public SubStation {
   /// `autosleep`: opt into active-set descheduling where the station is
   /// engine-attached directly (SingleStation). An uninformed station
   /// neither transmits nor mutates on poll, so it sleeps until the message
-  /// front's delivery wakes it; an informed one re-wakes every poll until
-  /// the last slot of its quota, then sleeps for good. Byte-identical to
+  /// front's delivery wakes it. An informed one is polled while its Decay
+  /// transmits; once the Decay has died it sleeps until the next phase
+  /// starts (a wake_at timer at slot base + phase start), and after the
+  /// last phase of its quota it sleeps for good. Byte-identical to
   /// always-active either way; only EngineStats::station_polls differs.
   /// The setup station forwards its Waker to its completion flood, so the
-  /// promise holds there too.
+  /// promise holds there too. The slot base is 0 until reset sets it.
   FloodStation(std::uint32_t decay_len, std::uint32_t phase_quota, Rng rng,
                bool autosleep = true);
 
@@ -85,7 +95,9 @@ class FloodStation final : public SubStation {
   void seed(const Message& m);
 
   /// Clears the flood state and re-seeds the randomness (setup attempts).
-  void reset(Rng rng);
+  /// `base` is the engine slot of the flood's slot 0, where the phase-start
+  /// timers are armed (setup: the attempt's start of epoch G).
+  void reset(Rng rng, SlotTime base);
 
   void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;
@@ -103,6 +115,7 @@ class FloodStation final : public SubStation {
   std::uint32_t decay_len_;
   std::uint32_t quota_;
   Rng rng_;
+  SlotTime base_ = 0;  ///< engine slot of the flood's slot 0
   bool informed_ = false;
   SlotTime informed_at_ = 0;
   Message msg_;

@@ -244,7 +244,8 @@ class SetupStation final : public Station {
     bfs_.reset();
     dfs1_.reset();
     dfs2_.reset();
-    flood_g_.reset(rng_.split(rng_tags::kSetupFloodRetryBase + attempt_));
+    flood_g_.reset(rng_.split(rng_tags::kSetupFloodRetryBase + attempt_),
+                   attempt_start_ + g_start());
     coll_.reset(rng_.split(rng_tags::kSetupCollRetryBase + attempt_));
     coll_bound_ = false;
     is_root_ = false;

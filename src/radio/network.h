@@ -25,7 +25,8 @@
 // Phase 2 scatters each transmission over a flat CSR adjacency copy
 // (radio/csr.h) into epoch-stamped struct-of-arrays receiver cells,
 // recording each newly-touched cell; Phase 3 visits only the touched
-// cells, in (node, channel) order. The delivery stream, NetMetrics,
+// cells, in (node, channel) order (a sort when few cells were touched, a
+// bitmap sweep when many were). The delivery stream, NetMetrics,
 // traces, and capture-RNG consumption are byte-identical to the pre-
 // rewrite full-scan engine — proven over a randomized matrix by
 // tests/engine_diff_test.cpp against the frozen reference implementation
@@ -74,6 +75,7 @@ struct EngineStats {
   std::uint64_t station_polls = 0;  ///< on_slot invocations
   std::uint64_t wake_events = 0;    ///< Waker::wake calls that raised a mark
   std::uint64_t peak_active = 0;    ///< max active-set size seen in a slot
+  std::uint64_t bitmap_slots = 0;   ///< slots whose cells took the bitmap sweep
 };
 
 class RadioNetwork {
@@ -181,6 +183,12 @@ class RadioNetwork {
   std::vector<std::optional<Message>> row_;  // per-poll scratch, num_channels wide
   std::vector<std::pair<NodeId, ChannelId>> tx_list_;  // this slot's transmissions
   std::vector<std::size_t> touched_;      // rx cells stamped this slot
+  std::vector<std::uint64_t> touched_bits_;  // all zero between slots
+
+  /// Rewrites a dense slot's touched_ in ascending cell order through
+  /// touched_bits_ (one bit per cell, swept word by word), in place of
+  /// std::sort; leaves the bitmap zero again.
+  [[gnu::noinline]] void order_touched_by_bitmap();
 };
 
 }  // namespace radiomc

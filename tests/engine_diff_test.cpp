@@ -39,6 +39,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "faults/fault_plan.h"
@@ -233,6 +234,9 @@ struct RunDigest {
   std::vector<std::vector<Delivery>> per_station;
   NetMetrics metrics;
   std::string trace;
+  /// Slots the active-set engine ordered by its bitmap sweep; not compared
+  /// (the reference engine has no such path).
+  std::uint64_t bitmap_slots = 0;
 
   bool operator==(const RunDigest& o) const {
     return per_station == o.per_station && trace == o.trace &&
@@ -314,6 +318,8 @@ RunDigest run_engine(const Cell& cell) {
   for (auto* log : pop.logs) d.per_station.push_back(*log);
   d.metrics = net.metrics();
   d.trace = trace_out.str();
+  if constexpr (std::is_same_v<Engine, RadioNetwork>)
+    d.bitmap_slots = net.engine_stats().bitmap_slots;
   return d;
 }
 
@@ -452,6 +458,39 @@ TEST(EngineDiff, SeedSweepOnDenseAndSparseCells) {
     sparse.slots = 300;
     sparse.name = "path64/seed" + std::to_string(seed);
     EXPECT_TRUE(run_active(sparse) == run_reference(sparse)) << sparse.name;
+  }
+}
+
+TEST(EngineDiff, DenseCellsTakeTheBitmapPathAndStayIdentical) {
+  // The matrix cells above have at most 200 nodes, so only a few dozen
+  // slots of two gnp_sparse cells touch enough receiver cells to leave
+  // the sort path. On a 600-node gnp of mean degree ~40 the mixed
+  // population touches most cells in most slots, so Phase 3 orders them
+  // with the bitmap sweep; every config axis and fault kind must still
+  // match the reference byte for byte.
+  Rng topo_rng(0xDE45E);
+  const Graph g = gen::gnp_connected(600, 40.0 / 600.0, topo_rng);
+  std::vector<Cell> cells(5);
+  cells[1].channels = 2;
+  cells[2].capture_prob = 0.5;
+  cells[3].channels = 2;
+  cells[3].rx_while_tx_other = false;
+  cells[4].channels = 2;
+  cells[4].capture_prob = 0.5;
+  cells[4].plan = everything_plan();
+  const char* names[] = {"plain", "2ch", "capture", "2ch-halfduplex",
+                         "2ch-capture-all"};
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    Cell& c = cells[i];
+    c.graph = g;
+    c.seed = 0xDE45E000 + i * 131;
+    c.slots = 200;
+    c.name = std::string("gnp600/") + names[i];
+    const RunDigest a = run_active(c);
+    const RunDigest r = run_reference(c);
+    EXPECT_TRUE(a == r) << "divergence in cell " << c.name;
+    EXPECT_GT(a.metrics.deliveries, 0u) << c.name;
+    EXPECT_GT(a.bitmap_slots, c.slots / 2) << c.name;
   }
 }
 
@@ -687,19 +726,40 @@ TEST(AutosleepAB, PointToPointIsByteIdenticalAndPollsLess) {
 }
 
 TEST(AutosleepAB, FloodIsByteIdenticalAndPollsLess) {
-  // The flood's win is the uninformed frontier: on a long path most
-  // stations sleep until the wave reaches them.
-  const Graph g = gen::path(64);
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const BgiOutcome a =
-        run_bgi_broadcast(g, 0, /*phases=*/400, seed, {}, /*autosleep=*/true);
-    const BgiOutcome b =
-        run_bgi_broadcast(g, 0, 400, seed, {}, /*autosleep=*/false);
-    EXPECT_EQ(a.slots, b.slots);
-    EXPECT_EQ(a.informed_count, b.informed_count);
-    EXPECT_EQ(a.informed, b.informed);
-    EXPECT_EQ(a.informed_at, b.informed_at);
-    EXPECT_LT(a.engine_polls, b.engine_polls) << "seed " << seed;
+  // The flood sleeps in three places: on a long path most stations wait
+  // for the wave; on a dense graph an informed station sleeps from the
+  // slot its Decay dies to the next phase start, a timer that a crash
+  // plan with 16-slot epochs (decay_len 12 here) lets fall due while the
+  // station is down, so the station resumes on another phase.
+  const Graph path = gen::path(64);
+  Rng topo_rng(0xF100D);
+  const Graph dense = gen::gnp_connected(200, 0.2, topo_rng);
+  ASSERT_GE(dense.max_degree(), 30u);
+  ASSERT_EQ(decay_length(dense.max_degree()), 12u);
+  FaultPlan crashes = crash_plan();
+  crashes.crash_rate = 0.1;
+  struct Case {
+    const char* name;
+    const Graph& g;
+    std::uint64_t phases;
+    FaultPlan plan;
+  };
+  const Case cases[] = {{"path64", path, 400, {}},
+                        {"gnp200", dense, 120, {}},
+                        {"gnp200/crash", dense, 120, crashes}};
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const BgiOutcome a = run_bgi_broadcast(c.g, 0, c.phases, seed, c.plan,
+                                             /*autosleep=*/true);
+      const BgiOutcome b = run_bgi_broadcast(c.g, 0, c.phases, seed, c.plan,
+                                             /*autosleep=*/false);
+      EXPECT_EQ(a.slots, b.slots) << c.name;
+      EXPECT_EQ(a.informed_count, b.informed_count) << c.name;
+      EXPECT_EQ(a.informed, b.informed) << c.name;
+      EXPECT_EQ(a.informed_at, b.informed_at) << c.name;
+      EXPECT_LT(a.engine_polls, b.engine_polls)
+          << c.name << " seed " << seed;
+    }
   }
 }
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -11,6 +14,7 @@
 #include "protocols/bfs_build.h"
 #include "protocols/bgi_broadcast.h"
 #include "protocols/leader_election.h"
+#include "radio/network.h"
 #include "support/rng.h"
 #include "support/util.h"
 
@@ -109,6 +113,95 @@ TEST(Flood, QuotaBoundsTheWorkNotTheBudget) {
   EXPECT_EQ(a.informed_at, b.informed_at);
   EXPECT_EQ(a.engine_polls, b.engine_polls);
   EXPECT_LE(a.engine_polls, n * (k + 2) * dl);
+}
+
+TEST(Flood, DeadDecaySleepsToThePhaseStart) {
+  // A Decay usually dies after about 2 sends, and a station whose Decay
+  // has died sleeps until its next phase starts, so on a dense graph an
+  // informed station is polled about 3 times per phase, not decay_len
+  // times. A station that stays scheduled through every slot of its k
+  // phases costs k*decay_len >= 12k polls and fails the bound.
+  Rng rng(0xDEAD);
+  const Graph g = gen::gnp_connected(200, 0.2, rng);
+  const std::uint64_t n = g.num_nodes();
+  const std::uint64_t k = bgi_phase_quota(g.num_nodes());
+  ASSERT_GE(decay_length(g.max_degree()), 12u);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto out = run_bgi_broadcast(g, 0, 2 * (diameter(g) + k + 2), seed);
+    ASSERT_EQ(out.informed_count, n);
+    EXPECT_LE(out.engine_polls, n * (k + 2) * 4) << "seed " << seed;
+  }
+}
+
+/// A flood station whose slot 0 is engine slot `base`, as in setup's
+/// epoch G: idle before it, then the flood in flood-local time.
+class DelayedFlood final : public Station {
+ public:
+  DelayedFlood(FloodStation& flood, SlotTime base, bool source)
+      : flood_(&flood), base_(base), source_(source) {}
+  void on_attach(Waker& w) override {
+    flood_->on_attach(w);
+    if (source_) w.wake_at(base_);
+  }
+  void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    if (t < base_) return;
+    if (t == base_ && source_) {
+      Message m;
+      m.kind = MsgKind::kBcastData;
+      m.dest = kAllNodes;
+      flood_->seed(m);
+    }
+    tx[0] = flood_->poll(t - base_);
+  }
+  void on_receive(SlotTime t, ChannelId, const Message& m) override {
+    flood_->deliver(t - base_, m);
+  }
+  void on_slot_end(SlotTime t) override {
+    if (t >= base_) flood_->tick(t - base_);
+  }
+
+ private:
+  FloodStation* flood_;
+  SlotTime base_;
+  bool source_;
+};
+
+TEST(Flood, PhaseTimersCountFromTheSlotBase) {
+  // Started `base` engine slots late, a flood whose reset names the base
+  // informs the same stations at the same flood-local slots and is polled
+  // as rarely as the standalone flood (the late run adds the one slot-0
+  // poll of its source). Timers armed in flood-local time would fall due
+  // in the past and degrade to a wake in every slot of the quota.
+  Rng rng(0xBA5E);
+  const Graph g = gen::gnp_connected(120, 0.3, rng);
+  const NodeId n = g.num_nodes();
+  const std::uint32_t dl = decay_length(g.max_degree());
+  const std::uint64_t k = bgi_phase_quota(n);
+  const std::uint64_t phases = 2 * (diameter(g) + k + 2);
+  constexpr std::uint64_t kSeed = 5;
+  const BgiOutcome standalone = run_bgi_broadcast(g, 0, phases, kSeed);
+  ASSERT_EQ(standalone.informed_count, n);
+
+  const SlotTime base = 1000 * dl + 7;  // not on a phase boundary
+  Rng master(kSeed);
+  std::vector<std::unique_ptr<FloodStation>> floods;
+  std::vector<std::unique_ptr<DelayedFlood>> stations;
+  std::vector<Station*> ptrs;
+  for (NodeId v = 0; v < n; ++v) {
+    floods.push_back(std::make_unique<FloodStation>(dl, k, Rng(0)));
+    floods.back()->reset(master.split(v), base);
+    stations.push_back(std::make_unique<DelayedFlood>(*floods.back(), base,
+                                                      /*source=*/v == 0));
+    ptrs.push_back(stations.back().get());
+  }
+  RadioNetwork net(g);
+  net.attach(std::move(ptrs));
+  net.run(base + phases * dl);
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_TRUE(floods[v]->informed()) << v;
+    EXPECT_EQ(floods[v]->informed_at(), standalone.informed_at[v]) << v;
+  }
+  EXPECT_EQ(net.engine_stats().station_polls, standalone.engine_polls + 1);
 }
 
 class LeaderSweep : public ::testing::TestWithParam<int> {};
